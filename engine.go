@@ -1,4 +1,7 @@
-// engine.go is the fault-tolerant, parallel cluster-verification engine.
+// engine.go is the fault-tolerant, parallel cluster-verification engine —
+// the one engine every run goes through, fed by one of two cluster sources:
+// the materialized source prunes a fully extracted chip, the streamed source
+// (stream_ingest.go) emits each cluster while the design is still being read.
 //
 // The chip-level loop's whole value is coverage: a full-chip run over
 // thousands of coupled clusters must not die because one pathological
@@ -13,8 +16,9 @@
 //  3. direct transient integration of the unreduced MNA system;
 //  4. mark the victim Unverified with a structured ClusterError.
 //
-// Results are assembled in cluster order after all workers finish, so a
-// parallel run's report is byte-identical to a serial run's.
+// Results are sorted back into victim order and assembled after all workers
+// finish, so a parallel or streamed run's report is byte-identical to a
+// serial materialized run's.
 package xtverify
 
 import (
@@ -139,24 +143,59 @@ type runParams struct {
 	retries int
 	backoff time.Duration
 	// reuse, when non-nil, marks an incremental reverify: it is consulted
-	// once per cluster, serially, before the worker pool starts, and a
-	// non-nil result is spliced into the run verbatim instead of being
+	// once per cluster, serially, on the goroutine that emits the cluster,
+	// and a non-nil result is spliced into the run verbatim instead of being
 	// recomputed. The hook must return results bit-equal to what analysis
 	// would produce — the engine assembles spliced and fresh results through
 	// the same code path precisely so the report stays byte-identical to a
 	// cold run.
 	reuse func(cl *prune.Cluster) *clusterResult
+	// clusters, when non-nil, is the materialized design's pruned cluster
+	// set, already computed by the caller (a reverify prunes to sign its
+	// clusters); the materialized source then skips its own pruning pass.
+	clusters []*prune.Cluster
 }
 
 // clusterUnit is everything cluster analysis reads: the pruned cluster plus
-// the parasitics/design its indices resolve against. The materialized path
-// passes the whole-chip views; the streaming path passes component-scoped
+// the parasitics/design its indices resolve against. The materialized source
+// passes the whole-chip views; the streamed source passes component-scoped
 // views whose local numbering reproduces the global computation bit for bit
 // (see internal/prune stream.go).
 type clusterUnit struct {
 	cl  *prune.Cluster
 	par *extract.Parasitics
 	des *design.Design
+}
+
+// emitFunc hands one cluster, keyed by its victim's global net index, to the
+// engine. It blocks while every worker is busy — which is what bounds
+// in-flight memory under a fast streamed source — and returns an error only
+// when the run is being aborted; the source must then stop and return it.
+type emitFunc func(victim int, u clusterUnit) error
+
+// sourceInfo is what a cluster source reports about the design it fed.
+type sourceInfo struct {
+	name string
+	nets int
+	// rawSizes lists the sizes of the raw (pre-pruning) coupled components;
+	// components of fewer than two nets may be left out.
+	rawSizes []int
+}
+
+// engineJob is one emitted cluster travelling from the source to a worker:
+// the analysis views plus the slot the worker's result lands in. The source
+// goroutine appends every job to the run's list before sending it, the
+// worker writes res after receiving, and assembly reads after the pool
+// drains — each handoff carries the needed happens-before edge.
+type engineJob struct {
+	victim int
+	// size is the pruned cluster size, captured at emission because the
+	// worker releases unit once the cluster is analyzed — holding every
+	// streamed component's parasitics until report assembly would put peak
+	// memory right back at O(chip).
+	size int
+	unit clusterUnit
+	res  *clusterResult
 }
 
 // clusterResult is one worker's output for one cluster.
@@ -262,107 +301,117 @@ func (v *Verifier) recordCacheDeltas(cs cacheState, diag *Diagnostics, col *Metr
 	}
 }
 
+// runEngine is the one verification engine. It starts the worker pool, has
+// the verifier's cluster source hand every cluster to one emit function —
+// the materialized source after pruning the whole chip, the streamed source
+// while ingest is still running — then sorts the results back into global
+// victim order and assembles the report once.
 func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) {
-	if v.src != nil {
-		return v.runStreamEngine(ctx, p)
-	}
 	col := v.cfg.Collector
-	pOpt := v.pruneOptions()
-	pruneSpan := col.Start(obs.PhasePrune)
-	stats := prune.ComputeStats(v.par, pOpt)
-	clusters := prune.Clusters(v.par, pOpt)
-	pruneSpan.End()
 	baseOpts := v.baseGlitchOptions()
 	cs := v.setupEngineCaches(&baseOpts)
 	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
-	results := make([]*clusterResult, len(clusters))
-	// Incremental reverify: settle reusable clusters serially up front, then
-	// hand only the remainder to the pool. The workers clamp above stays
-	// against the full cluster count — Diagnostics.Workers appears in the
-	// report, and a spliced report must match a cold run's byte for byte.
-	pending := make([]int, 0, len(clusters))
-	var reused int64
-	for i, cl := range clusters {
-		if p.reuse != nil {
-			if r := p.reuse(cl); r != nil {
-				results[i] = r
-				reused++
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	jobCh := make(chan *engineJob)
 	var wg sync.WaitGroup
-	idxCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range idxCh {
+			for j := range jobCh {
 				if runCtx.Err() != nil {
 					continue // run aborted: leave the slot unattempted
 				}
 				col.TaskStarted()
-				res := v.analyzeCluster(runCtx, baseOpts, clusterUnit{cl: clusters[idx], par: v.par, des: v.des}, p)
+				j.res = v.analyzeCluster(runCtx, baseOpts, j.unit, p)
+				// Release the views: a streamed component's mini design and
+				// parasitics are garbage once its clusters are analyzed, and
+				// report assembly only reads res and size.
+				j.unit = clusterUnit{}
 				col.TaskDone()
-				results[idx] = res
-				if p.strict && res.err != nil {
-					cancel() // fail fast: stop feeding and drain
+				if p.strict && j.res.err != nil {
+					cancel() // fail fast: stop the source and drain
 				}
 			}
 		}()
 	}
-feed:
-	for _, i := range pending {
+
+	var jobs []*engineJob
+	var reused int64
+	emit := func(victim int, u clusterUnit) error {
+		j := &engineJob{victim: victim, size: u.cl.Size(), unit: u}
+		jobs = append(jobs, j)
+		if p.reuse != nil {
+			if r := p.reuse(u.cl); r != nil {
+				j.res, j.unit = r, clusterUnit{}
+				reused++
+				return nil
+			}
+		}
 		select {
 		case <-runCtx.Done():
-			break feed
-		case idxCh <- i:
+			return runCtx.Err()
+		case jobCh <- j:
+			return nil
 		}
 	}
-	close(idxCh)
+	var info sourceInfo
+	var serr error
+	if v.src != nil {
+		info, serr = v.streamClusters(runCtx, emit)
+	} else {
+		info, serr = v.materializedClusters(p.clusters, emit)
+	}
+	close(jobCh)
 	wg.Wait()
 
 	// Caller cancellation or deadline wins over any per-cluster outcome.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Back into global victim order — the materialized source's emission
+	// order, which every report field and counter merge below assumes.
+	// Victims are unique: each net is the victim of at most one cluster.
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].victim < jobs[b].victim })
 	if p.strict {
 		// Report the earliest genuine failure in cluster order, exactly as
 		// the serial loop did; skip casualties of our own fail-fast cancel.
 		var firstAny error
-		for _, r := range results {
-			if r == nil || r.err == nil {
+		for _, j := range jobs {
+			if j.res == nil || j.res.err == nil {
 				continue
 			}
-			if !errors.Is(r.err, context.Canceled) {
-				return nil, r.err
+			if !errors.Is(j.res.err, context.Canceled) {
+				return nil, j.res.err
 			}
 			if firstAny == nil {
-				firstAny = r.err
+				firstAny = j.res.err
 			}
 		}
 		if firstAny != nil {
 			return nil, firstAny
 		}
 	}
+	if serr != nil {
+		// A source failure: a typed parse or frontier error, or the echo of
+		// our own fail-fast cancellation (whose cause was returned above).
+		return nil, serr
+	}
 
+	sizes := make([]int, len(jobs))
+	for i, j := range jobs {
+		sizes[i] = j.size
+	}
+	stats := prune.Summarize(info.rawSizes, sizes)
 	rep := &Report{
-		DesignName: v.des.Name,
-		NetCount:   len(v.des.Nets),
+		DesignName: info.name,
+		NetCount:   info.nets,
 		Prune: PruneSummary{
 			RawMeanClusterNets:    stats.RawMeanSize,
 			RawMaxClusterNets:     stats.RawMaxSize,
@@ -371,8 +420,14 @@ feed:
 			ClustersAnalyzed:      stats.PrunedClusters,
 		},
 	}
+	// Diagnostics.Workers appears in the report, so it is clamped to the
+	// cluster total (spliced clusters included): a run's report must not
+	// depend on whether its source knew that total up front, and a spliced
+	// report must match a cold run's byte for byte.
+	workers = max(1, min(workers, len(jobs)))
 	diag := &Diagnostics{Workers: workers, Strict: p.strict}
-	for _, r := range results {
+	for _, j := range jobs {
+		r := j.res
 		if r == nil {
 			continue
 		}
@@ -402,8 +457,8 @@ feed:
 		}
 		// Victim (cluster) order, like Diagnostics.Clusters — deterministic
 		// and identical between serial and parallel runs.
-		for _, r := range results {
-			if r != nil && r.outcome.Stage == StageScreened {
+		for _, j := range jobs {
+			if r := j.res; r != nil && r.outcome.Stage == StageScreened {
 				scr.Screened++
 				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: r.outcome.Victim, BoundV: r.outcome.ScreenBoundV})
 			}
@@ -415,7 +470,7 @@ feed:
 	if p.reuse != nil {
 		col.Add(obs.CtrReverifyJobs, 1)
 		col.Add(obs.CtrClustersReused, reused)
-		col.Add(obs.CtrClustersRecomputed, int64(len(clusters))-reused)
+		col.Add(obs.CtrClustersRecomputed, int64(len(jobs))-reused)
 	}
 	if col != nil {
 		col.SetWorkers(workers)
@@ -430,6 +485,30 @@ feed:
 		return rep.Violations[i].Victim < rep.Violations[j].Victim
 	})
 	return rep, nil
+}
+
+// materializedClusters is the materialized cluster source: it clusters the
+// whole-chip parasitics once — pruning them unless the caller already has —
+// and emits every cluster, in victim order, with the whole-chip views. The
+// prune span covers clustering only, not the time spent blocked handing
+// clusters to the pool.
+func (v *Verifier) materializedClusters(clusters []*prune.Cluster, emit emitFunc) (sourceInfo, error) {
+	span := v.cfg.Collector.Start(obs.PhasePrune)
+	raw := prune.RawClusters(v.par)
+	if clusters == nil {
+		clusters = prune.Clusters(v.par, v.pruneOptions())
+	}
+	span.End()
+	info := sourceInfo{name: v.des.Name, nets: len(v.des.Nets), rawSizes: make([]int, len(raw))}
+	for i, g := range raw {
+		info.rawSizes[i] = len(g)
+	}
+	for _, cl := range clusters {
+		if err := emit(cl.Victim, clusterUnit{cl: cl, par: v.par, des: v.des}); err != nil {
+			return info, err
+		}
+	}
+	return info, nil
 }
 
 // analyzeCluster runs one cluster down the ladder (or just the fast path in

@@ -29,6 +29,8 @@ import (
 	"time"
 
 	"xtverify"
+	"xtverify/internal/deflite"
+	"xtverify/internal/extract"
 )
 
 // Options configures a Server. The zero value is usable: defaults are
@@ -181,7 +183,9 @@ type VerifyRequest struct {
 	CapRatioThreshold   float64 `json:"cap_ratio_threshold,omitempty"`
 	GlitchThresholdFrac float64 `json:"glitch_threshold_frac,omitempty"`
 	TimingWindows       bool    `json:"timing_windows,omitempty"`
-	LogicCorrelation    bool    `json:"logic_correlation,omitempty"`
+	// LogicCorrelation is refused for dsp designs: they are canonicalized
+	// through DEF, which does not carry the generator's Q/QN pairs.
+	LogicCorrelation bool `json:"logic_correlation,omitempty"`
 	// NoScreen disables the rung-0 analytic screen for this job: every
 	// cluster goes through reduction and transient simulation.
 	NoScreen bool `json:"no_screen,omitempty"`
@@ -514,6 +518,12 @@ func (s *Server) jobConfig(req *VerifyRequest) (xtverify.Config, string) {
 		cfg.UseTimingWindows = true
 	}
 	if req.LogicCorrelation {
+		if req.DSP != nil {
+			// DSP jobs are canonicalized through DEF-lite (see runJob), which
+			// does not carry the generator's Q/QN pairs: the correlation would
+			// silently see none.
+			return cfg, "logic_correlation (dsp designs are canonicalized through DEF, which does not carry their Q/QN pairs)"
+		}
 		cfg.UseLogicCorrelation = true
 	}
 	if req.NoScreen {
@@ -573,6 +583,13 @@ func (s *Server) runJob(ctx context.Context, req *VerifyRequest, cfg xtverify.Co
 	rep, err := v.RunContext(ctx)
 	s.foldCounters(cfg.Collector)
 	if err != nil {
+		var pe *deflite.ParseError
+		var fe *extract.FrontierError
+		if errors.As(err, &pe) || errors.As(err, &fe) {
+			// A streamed job parses its DEF during the run, so malformed
+			// input surfaces here rather than at construction: still a 400.
+			return nil, nil, http.StatusBadRequest, fmt.Errorf("parse def: %w", err)
+		}
 		return nil, nil, http.StatusInternalServerError, err
 	}
 	resp, err := makeResponse(rep)

@@ -170,6 +170,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"dsp":{"seed":1},"bogus":true}`, http.StatusBadRequest},
 		{"bad model", `{"dsp":{"seed":1},"model":"quantum"}`, http.StatusBadRequest},
 		{"negative timeout", `{"dsp":{"seed":1},"timeout_ms":-5}`, http.StatusBadRequest},
+		{"dsp logic correlation", `{"dsp":{"seed":1},"logic_correlation":true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -595,5 +596,40 @@ func TestReverifyAgainstStreamedBase(t *testing.T) {
 	if rr.ReportText != base.ReportText {
 		t.Errorf("identity ECO against streamed base changed the report:\n--- base ---\n%s--- reverify ---\n%s",
 			base.ReportText, rr.ReportText)
+	}
+}
+
+// TestMalformedDEFIs400 pins the input-error contract on both front ends: a
+// DEF that repeats a net name or has a bad UNITS line is the client's fault,
+// so a materialized and a streamed job alike answer 400 with the parser's
+// line-numbered message — never a 500, never a dropped connection.
+func TestMalformedDEFIs400(t *testing.T) {
+	faultinject.LeakCheck(t)
+	def := tinyDEF(t)
+	dupName := strings.Replace(def, "\n- ch0/n1 ", "\n- ch0/n0 ", 1)
+	badUnits := strings.Replace(def, "UNITS DISTANCE MICRONS 1000", "UNITS DISTANCE MICRONS minus", 1)
+	if dupName == def || badUnits == def {
+		t.Fatal("tiny DEF lacks the net or UNITS line the test edits")
+	}
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ name, def, msg string }{
+		{"duplicate net name", dupName, `duplicate net name "ch0/n0"`},
+		{"bad UNITS", badUnits, "bad UNITS"},
+	} {
+		for _, stream := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stream=%t", tc.name, stream), func(t *testing.T) {
+				resp, raw := postVerify(t, ts, &VerifyRequest{DEF: tc.def, Model: "fixed", Stream: stream})
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status = %d, want 400: %s", resp.StatusCode, raw)
+				}
+				var body errorResponse
+				if err := json.Unmarshal(raw, &body); err != nil {
+					t.Fatalf("bad error body: %v\n%s", err, raw)
+				}
+				if !strings.Contains(body.Error, "deflite: line ") || !strings.Contains(body.Error, tc.msg) {
+					t.Errorf("error %q lacks the line-numbered %q parse error", body.Error, tc.msg)
+				}
+			})
+		}
 	}
 }

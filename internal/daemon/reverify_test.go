@@ -138,7 +138,6 @@ func TestReportCacheConfigMiss(t *testing.T) {
 		"fixed_ohms":            func(r *VerifyRequest) { r.FixedOhms = 700 },
 		"glitch_threshold_frac": func(r *VerifyRequest) { r.GlitchThresholdFrac = 0.2 },
 		"timing_windows":        func(r *VerifyRequest) { r.TimingWindows = true },
-		"logic_correlation":     func(r *VerifyRequest) { r.LogicCorrelation = true },
 		"no_screen":             func(r *VerifyRequest) { r.NoScreen = true },
 		"screen_safety_factor":  func(r *VerifyRequest) { r.ScreenSafetyFactor = 2.0 },
 		"design seed":           func(r *VerifyRequest) { r.DSP.Seed = 78 },
@@ -152,6 +151,18 @@ func TestReportCacheConfigMiss(t *testing.T) {
 			}
 		})
 	}
+	// A dsp job refuses logic_correlation (DEF canonicalization drops the
+	// Q/QN pairs), so that knob is flipped on an inline-DEF job instead.
+	t.Run("logic_correlation", func(t *testing.T) {
+		req := &VerifyRequest{DEF: tinyDEF(t), Model: "fixed", CapRatioThreshold: 0.03}
+		if base := verifyOK(t, ts, req); base.Cached {
+			t.Fatal("first inline-DEF submission cached")
+		}
+		req.LogicCorrelation = true
+		if got := verifyOK(t, ts, req); got.Cached {
+			t.Error("flipping logic_correlation aliased with the base job's cache entry")
+		}
+	})
 }
 
 // TestReverifyRoundTrip is the end-to-end ECO flow: verify, apply an

@@ -193,7 +193,8 @@ func (m *materializeSink) AddNet(n *design.Net) error {
 // the moment its terminating ";" (or the section END) is seen. A sink error
 // aborts the parse and is returned verbatim. Unlike Read it performs no
 // whole-design validation — per-net checks are the sink's responsibility
-// (design.ValidateNet).
+// (design.ValidateNet) — but it does reject a repeated net name, which no
+// sink that forgets earlier nets could detect.
 func StreamRead(r io.Reader, sink Sink) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -204,6 +205,12 @@ func StreamRead(r io.Reader, sink Sink) error {
 		comps    = map[string]compInfo{}
 		curNet   *design.Net
 		lineNo   int
+		// netNames holds a 64-bit hash of every net name seen, about 8 bytes
+		// a net instead of the names themselves, so a streamed parse stays
+		// O(components + one net). Two distinct names that collide are
+		// rejected as a duplicate: a loud, ~n²/2⁶⁵ chance (3·10⁻⁸ at 1M
+		// nets), never a silently wrong report.
+		netNames = map[uint64]struct{}{}
 	)
 	toUM := func(tok string) (float64, error) {
 		v, err := strconv.ParseFloat(tok, 64)
@@ -273,6 +280,11 @@ func StreamRead(r io.Reader, sink Sink) error {
 			if err := flushNet(); err != nil {
 				return err
 			}
+			h := nameHash(f[1])
+			if _, dup := netNames[h]; dup {
+				return perr(lineNo, "duplicate net name %q", f[1])
+			}
+			netNames[h] = struct{}{}
 			curNet = &design.Net{Name: f[1]}
 			// Pin connections: ( inst pin ) groups on the same line.
 			for i := 2; i+3 < len(f)+1; {
@@ -371,4 +383,14 @@ func StreamRead(r io.Reader, sink Sink) error {
 type compInfo struct {
 	cell *cells.Cell
 	x, y float64
+}
+
+// nameHash is the 64-bit FNV-1a hash of a net name.
+func nameHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }

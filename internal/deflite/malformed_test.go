@@ -85,6 +85,12 @@ func TestMalformedDEFTypedErrors(t *testing.T) {
 			wantNumCause: true,
 		},
 		{
+			name:     "duplicate net name",
+			src:      header + comp + "NETS 2 ;\n- n ( u1 Z )\n;\n- n ( u1 Z )\n;\nEND NETS\n",
+			wantLine: 10,
+			wantMsg:  `duplicate net name "n"`,
+		},
+		{
 			name:     "USE outside net",
 			src:      header + comp + "NETS 1 ;\n+ USE CLOCK\n",
 			wantLine: 8,

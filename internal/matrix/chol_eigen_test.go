@@ -163,103 +163,73 @@ func TestEigenSPDProperty(t *testing.T) {
 	}
 }
 
-func TestEigenvaluesSymTridiag(t *testing.T) {
-	// Tridiagonal [[2,-1,0],[-1,2,-1],[0,-1,2]] has eigenvalues 2-√2, 2, 2+√2.
-	w, err := EigenvaluesSymTridiag([]float64{2, 2, 2}, []float64{-1, -1})
-	if err != nil {
-		t.Fatal(err)
+// orthonormalizeDense runs OrthonormalizeColumns on a copy of a's columns and
+// returns the kept block Q (m×rank) with its rank.
+func orthonormalizeDense(a *Dense, tol float64) (*Dense, int) {
+	cols := make([][]float64, a.Cols())
+	for j := range cols {
+		cols[j] = a.Col(j)
 	}
-	want := []float64{2 - math.Sqrt2, 2, 2 + math.Sqrt2}
-	for i := range want {
-		if !almostEq(w[i], want[i], 1e-12) {
-			t.Errorf("w[%d] = %g, want %g", i, w[i], want[i])
-		}
+	rank := OrthonormalizeColumns(cols, tol)
+	q := NewDense(a.Rows(), rank)
+	for j := 0; j < rank; j++ {
+		q.SetCol(j, cols[j])
 	}
+	return q, rank
 }
 
-func TestQRFactorization(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randDense(rng, 10, 4)
-	qr, err := FactorQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// QᵀQ = I.
-	qtq := qr.Q.T().Mul(qr.Q)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
+// checkOrthonormalBasis asserts QᵀQ = I and that Q spans a: the projection
+// Q·(Qᵀa) reproduces a.
+func checkOrthonormalBasis(t *testing.T, q, a *Dense, tol float64) {
+	t.Helper()
+	qtq := q.T().Mul(q)
+	for i := 0; i < q.Cols(); i++ {
+		for j := 0; j < q.Cols(); j++ {
 			want := 0.0
 			if i == j {
 				want = 1
 			}
-			if math.Abs(qtq.At(i, j)-want) > 1e-10 {
+			if math.Abs(qtq.At(i, j)-want) > tol {
 				t.Fatalf("QᵀQ(%d,%d) = %g", i, j, qtq.At(i, j))
 			}
 		}
 	}
-	// Q·R = A.
-	rec := qr.Q.Mul(qr.R)
-	if rec.SubMat(a).MaxAbs() > 1e-10 {
-		t.Fatalf("QR reconstruction error %g", rec.SubMat(a).MaxAbs())
-	}
-	// R upper triangular.
-	for i := 1; i < 4; i++ {
-		for j := 0; j < i; j++ {
-			if qr.R.At(i, j) != 0 {
-				t.Errorf("R(%d,%d) = %g, want 0", i, j, qr.R.At(i, j))
-			}
-		}
+	rec := q.Mul(q.T().Mul(a))
+	if rec.SubMat(a).MaxAbs() > tol {
+		t.Fatalf("Q·Qᵀ·A reconstruction error %g", rec.SubMat(a).MaxAbs())
 	}
 }
 
-func TestOrthonormalizeBlockFullRank(t *testing.T) {
+func TestOrthonormalizeColumnsFullRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randDense(rng, 12, 3)
-	q, r, rank := OrthonormalizeBlock(a, 1e-12)
+	q, rank := orthonormalizeDense(a, 1e-12)
 	if rank != 3 {
 		t.Fatalf("rank = %d, want 3", rank)
 	}
-	rec := q.Mul(r)
-	if rec.SubMat(a).MaxAbs() > 1e-10 {
-		t.Fatalf("Q·R reconstruction error %g", rec.SubMat(a).MaxAbs())
-	}
-	qtq := q.T().Mul(q)
-	for i := 0; i < rank; i++ {
-		for j := 0; j < rank; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(qtq.At(i, j)-want) > 1e-10 {
-				t.Fatalf("QᵀQ(%d,%d) = %g", i, j, qtq.At(i, j))
-			}
-		}
-	}
+	checkOrthonormalBasis(t, q, a, 1e-10)
 }
 
-func TestOrthonormalizeBlockDeflation(t *testing.T) {
-	// Third column is a linear combination of the first two: rank must be 2.
+func TestOrthonormalizeColumnsDeflation(t *testing.T) {
+	// Second column is a linear combination of the first and third: rank
+	// must be 2, and the dependent column's slot must be compacted away.
 	a := NewDense(6, 3)
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 6; i++ {
 		a.Set(i, 0, rng.NormFloat64())
-		a.Set(i, 1, rng.NormFloat64())
-		a.Set(i, 2, 2*a.At(i, 0)-3*a.At(i, 1))
+		a.Set(i, 2, rng.NormFloat64())
+		a.Set(i, 1, 2*a.At(i, 0)-3*a.At(i, 2))
 	}
-	q, r, rank := OrthonormalizeBlock(a, 1e-10)
+	q, rank := orthonormalizeDense(a, 1e-10)
 	if rank != 2 {
 		t.Fatalf("rank = %d, want 2", rank)
 	}
-	rec := q.Mul(r)
-	if rec.SubMat(a).MaxAbs() > 1e-9 {
-		t.Fatalf("deflated Q·R reconstruction error %g", rec.SubMat(a).MaxAbs())
-	}
+	checkOrthonormalBasis(t, q, a, 1e-9)
 }
 
-func TestOrthonormalizeBlockZero(t *testing.T) {
+func TestOrthonormalizeColumnsZero(t *testing.T) {
 	a := NewDense(5, 2) // all-zero block
-	_, _, rank := OrthonormalizeBlock(a, 1e-12)
-	if rank != 0 {
+	if _, rank := orthonormalizeDense(a, 1e-12); rank != 0 {
 		t.Fatalf("rank of zero block = %d, want 0", rank)
 	}
 }

@@ -1,7 +1,8 @@
 // Package matrix provides the dense and sparse linear algebra kernels used
-// by the parasitic-coupling verification flow: dense LU/Cholesky/QR
-// factorizations, a symmetric eigensolver, skyline (profile) sparse
-// factorizations, and reverse Cuthill–McKee bandwidth reduction.
+// by the parasitic-coupling verification flow: dense LU/Cholesky
+// factorizations, Gram–Schmidt deflation, a symmetric eigensolver, skyline
+// (profile) sparse factorizations, and reverse Cuthill–McKee bandwidth
+// reduction.
 //
 // The package is self-contained (standard library only) and sized for the
 // matrix regimes that arise in chip-level crosstalk analysis: reduced-order
@@ -253,15 +254,6 @@ func (m *Dense) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	var b strings.Builder
@@ -463,29 +455,4 @@ func (f *LU) Det() float64 {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// SolveDense solves A·X = B column by column.
-func (f *LU) SolveDense(b *Dense) (*Dense, error) {
-	if b.rows != f.lu.rows {
-		return nil, fmt.Errorf("matrix: SolveDense dimension mismatch")
-	}
-	out := NewDense(b.rows, b.cols)
-	for j := 0; j < b.cols; j++ {
-		x, err := f.Solve(b.Col(j))
-		if err != nil {
-			return nil, err
-		}
-		out.SetCol(j, x)
-	}
-	return out, nil
-}
-
-// Inverse returns A⁻¹ computed via LU factorization.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveDense(Identity(a.rows))
 }

@@ -140,27 +140,6 @@ func TestLUDeterminant(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randSPD(rng, 6)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := a.Mul(inv)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(p.At(i, j)-want) > 1e-9 {
-				t.Fatalf("A·A⁻¹(%d,%d) = %g", i, j, p.At(i, j))
-			}
-		}
-	}
-}
-
 // Property: for random well-conditioned systems, LU solve residual is tiny.
 func TestLUSolveResidualProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -221,29 +221,3 @@ func tql2(z *Dense, d, e []float64) error {
 	}
 	return nil
 }
-
-// EigenvaluesSymTridiag computes the eigenvalues of a symmetric tridiagonal
-// matrix given its diagonal diag and sub-diagonal sub (len(sub) = len(diag)-1)
-// without accumulating eigenvectors. It is used for cheap stability audits of
-// reduced-order models.
-func EigenvaluesSymTridiag(diag, sub []float64) ([]float64, error) {
-	n := len(diag)
-	if n == 0 {
-		return nil, nil
-	}
-	if len(sub) != n-1 {
-		return nil, fmt.Errorf("matrix: sub-diagonal length %d, want %d", len(sub), n-1)
-	}
-	// Build the dense tridiagonal and reuse the full solver; the matrices in
-	// this code base are small enough (reduced order ≤ a few hundred).
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, diag[i])
-		if i+1 < n {
-			a.Set(i, i+1, sub[i])
-			a.Set(i+1, i, sub[i])
-		}
-	}
-	w, _, err := EigenSym(a)
-	return w, err
-}

@@ -1,90 +1,14 @@
 package matrix
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// QR holds a thin Householder QR factorization A = Q·R with Q m×n having
-// orthonormal columns (m ≥ n) and R n×n upper triangular.
-type QR struct {
-	Q *Dense
-	R *Dense
-}
-
-// FactorQR computes the thin QR factorization of an m×n matrix with m ≥ n
-// using Householder reflections.
-func FactorQR(a *Dense) (*QR, error) {
-	m, n := a.rows, a.cols
-	if m < n {
-		return nil, fmt.Errorf("matrix: FactorQR needs rows >= cols, got %dx%d", m, n)
-	}
-	qr := a.Clone()
-	rdiag := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Norm of the k-th column below the diagonal.
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
-		}
-		if nrm != 0 {
-			if qr.At(k, k) < 0 {
-				nrm = -nrm
-			}
-			for i := k; i < m; i++ {
-				qr.Set(i, k, qr.At(i, k)/nrm)
-			}
-			qr.Add(k, k, 1)
-			// Apply the reflection to the remaining columns.
-			for j := k + 1; j < n; j++ {
-				s := 0.0
-				for i := k; i < m; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
-				}
-				s = -s / qr.At(k, k)
-				for i := k; i < m; i++ {
-					qr.Add(i, j, s*qr.At(i, k))
-				}
-			}
-		}
-		rdiag[k] = -nrm
-	}
-	// Extract R.
-	r := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		r.Set(i, i, rdiag[i])
-		for j := i + 1; j < n; j++ {
-			r.Set(i, j, qr.At(i, j))
-		}
-	}
-	// Accumulate thin Q by applying the stored reflections to the first n
-	// columns of the identity.
-	q := NewDense(m, n)
-	for k := n - 1; k >= 0; k-- {
-		q.Set(k, k, 1)
-		for j := k; j < n; j++ {
-			if qr.At(k, k) == 0 {
-				continue
-			}
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * q.At(i, j)
-			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				q.Add(i, j, s*qr.At(i, k))
-			}
-		}
-	}
-	return &QR{Q: q, R: r}, nil
-}
-
-// OrthonormalizeColumns orthonormalizes cols in place using the same
-// modified Gram–Schmidt (two passes) and deflation rule as
-// OrthonormalizeBlock, but works directly on caller-owned column slices and
-// allocates nothing. Retained columns are compacted to the front of cols
-// (their buffers are overwritten); the returned rank r says how many of
-// cols[0:r] are valid afterwards.
+// OrthonormalizeColumns orthonormalizes cols in place with modified
+// Gram–Schmidt (two passes against the kept columns), dropping columns whose
+// residual norm falls below tol·(initial norm). It works directly on
+// caller-owned column slices and allocates nothing: retained columns are
+// compacted to the front of cols (their buffers are overwritten), and the
+// returned rank r says how many of cols[0:r] are valid afterwards. It is the
+// rank-revealing kernel used for deflation inside the block Lanczos process.
 func OrthonormalizeColumns(cols [][]float64, tol float64) int {
 	kept := 0
 	for j := 0; j < len(cols); j++ {
@@ -107,52 +31,4 @@ func OrthonormalizeColumns(cols [][]float64, tol float64) int {
 		kept++
 	}
 	return kept
-}
-
-// OrthonormalizeBlock orthonormalizes the columns of a against themselves
-// using modified Gram–Schmidt with one reorthogonalization pass, dropping
-// columns whose residual norm falls below tol·(initial norm). It returns the
-// orthonormal block Q (m×r, r ≤ n), the r×n coefficient matrix R with
-// a = Q·R, and the retained rank r. It is the rank-revealing kernel used for
-// deflation inside the block Lanczos process.
-func OrthonormalizeBlock(a *Dense, tol float64) (q *Dense, r *Dense, rank int) {
-	m, n := a.rows, a.cols
-	work := a.Clone()
-	qCols := make([][]float64, 0, n)
-	r = NewDense(n, n) // trimmed to rank×n at the end
-	kept := make([]int, 0, n)
-	for j := 0; j < n; j++ {
-		col := work.Col(j)
-		norm0 := Norm2(col)
-		// Two passes of modified Gram–Schmidt against the kept columns.
-		for pass := 0; pass < 2; pass++ {
-			for i, qi := range qCols {
-				c := Dot(qi, col)
-				r.Add(kept[i], j, c)
-				Axpy(-c, qi, col)
-			}
-		}
-		norm1 := Norm2(col)
-		if norm0 == 0 || norm1 <= tol*math.Max(norm0, 1e-300) {
-			// Linearly dependent column: deflate.
-			continue
-		}
-		ScaleVec(1/norm1, col)
-		r.Set(len(qCols), j, norm1)
-		// Note: r rows indexed by kept order; fix indices below.
-		kept = append(kept, len(qCols))
-		qCols = append(qCols, col)
-	}
-	rank = len(qCols)
-	q = NewDense(m, rank)
-	for i, c := range qCols {
-		q.SetCol(i, c)
-	}
-	rr := NewDense(rank, n)
-	for i := 0; i < rank; i++ {
-		for j := 0; j < n; j++ {
-			rr.Set(i, j, r.At(i, j))
-		}
-	}
-	return q, rr, rank
 }

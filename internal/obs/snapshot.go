@@ -1,11 +1,13 @@
 // The metrics snapshot: the frozen, JSON-serializable view of a Collector.
 //
-// Schema (version 3 — version 2 plus the incremental-reverify counters
+// Schema (version 4 — version 3 plus the streaming-ingest counters
+// nets_streamed / clusters_emitted_eager / frontier_peak_nets, which stay 0
+// on a materialized run; version 3 added the incremental-reverify counters
 // reverify_jobs / clusters_reused / clusters_recomputed and the persistent
 // prepared-transient counter prepared_store_hits):
 //
 //	{
-//	  "schema_version": 3,
+//	  "schema_version": 4,
 //	  "workers":        <resolved pool size>,
 //	  "wall_ns":        <end-to-end cluster-analysis time>,
 //	  "counters":       {"<counter name>": <int64>, ...},   // every counter, zero included

@@ -201,20 +201,46 @@ type Stats struct {
 
 // ComputeStats runs both phases and aggregates.
 func ComputeStats(p *extract.Parasitics, opt Options) Stats {
-	var s Stats
 	raw := RawClusters(p)
+	rawSizes := make([]int, len(raw))
+	for i, g := range raw {
+		rawSizes[i] = len(g)
+	}
+	clusters := Clusters(p, opt)
+	sizes := make([]int, len(clusters))
+	var kept, dropped float64
+	for i, cl := range clusters {
+		sizes[i] = cl.Size()
+		kept += cl.KeptF
+		dropped += cl.DroppedF
+	}
+	s := Summarize(rawSizes, sizes)
+	if kept+dropped > 0 {
+		s.KeptCouplingFrac = kept / (kept + dropped)
+	}
+	return s
+}
+
+// Summarize computes a clustering's size statistics from the sizes of its
+// raw coupled components (components of fewer than two nets are skipped) and
+// of its pruned clusters. Every sum is integer-valued and so exact: the
+// result does not depend on the order of either list, which is what lets a
+// streamed run, seeing components in close order, reproduce a materialized
+// run's bits. KeptCouplingFrac needs the clusters themselves and is left 0.
+func Summarize(rawSizes, prunedSizes []int) Stats {
+	var s Stats
 	totalNets := 0
 	sumSq := 0
-	for _, g := range raw {
-		if len(g) < 2 {
+	for _, n := range rawSizes {
+		if n < 2 {
 			continue
 		}
 		s.RawClusters++
-		s.RawMeanSize += float64(len(g))
-		totalNets += len(g)
-		sumSq += len(g) * len(g)
-		if len(g) > s.RawMaxSize {
-			s.RawMaxSize = len(g)
+		s.RawMeanSize += float64(n)
+		totalNets += n
+		sumSq += n * n
+		if n > s.RawMaxSize {
+			s.RawMaxSize = n
 		}
 	}
 	if s.RawClusters > 0 {
@@ -223,21 +249,15 @@ func ComputeStats(p *extract.Parasitics, opt Options) Stats {
 	if totalNets > 0 {
 		s.RawNetMeanSize = float64(sumSq) / float64(totalNets)
 	}
-	var kept, dropped float64
-	for _, cl := range Clusters(p, opt) {
+	for _, n := range prunedSizes {
 		s.PrunedClusters++
-		s.PrunedMeanSize += float64(cl.Size())
-		if cl.Size() > s.PrunedMaxSize {
-			s.PrunedMaxSize = cl.Size()
+		s.PrunedMeanSize += float64(n)
+		if n > s.PrunedMaxSize {
+			s.PrunedMaxSize = n
 		}
-		kept += cl.KeptF
-		dropped += cl.DroppedF
 	}
 	if s.PrunedClusters > 0 {
 		s.PrunedMeanSize /= float64(s.PrunedClusters)
-	}
-	if kept+dropped > 0 {
-		s.KeptCouplingFrac = kept / (kept + dropped)
 	}
 	return s
 }

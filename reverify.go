@@ -298,18 +298,18 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 	}
 	stats := &ReverifyStats{}
 	seen := make(map[string]bool, len(base.entries))
-	// Sign the edited design's clusters up front, in parallel: the engine
-	// applies the reuse hook serially, and serial signing would cost more
-	// than the recompute it saves. The hook looks signatures up by victim —
-	// cluster extraction is deterministic, so this pre-pass sees the same
-	// cluster set runEngine will.
-	fresh := make(map[string]string)
+	// Prune once and sign the edited design's clusters up front, in
+	// parallel: the engine applies the reuse hook serially, and serial
+	// signing would cost more than the recompute it saves. The same clusters
+	// then feed the engine's materialized source, so the hook sees exactly
+	// the clusters signed here.
 	clusters := prune.Clusters(v.par, v.pruneOptions())
+	fresh := make(map[int]string, len(clusters))
 	for i, sig := range v.signClusters(clusters) {
-		fresh[v.des.Nets[clusters[i].Victim].Name] = sig
+		fresh[clusters[i].Victim] = sig
 	}
-	// The engine applies the hook serially before the worker pool, so plain
-	// map/slice state is safe here.
+	// The engine applies the hook serially, on the goroutine that emits
+	// clusters, so plain map/slice state is safe here.
 	reuse := func(cl *prune.Cluster) *clusterResult {
 		victim := v.des.Nets[cl.Victim].Name
 		seen[victim] = true
@@ -330,11 +330,7 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 			stats.StaleVictims = append(stats.StaleVictims, victim)
 			return nil
 		}
-		sig, ok := fresh[victim]
-		if !ok {
-			sig = v.clusterSignature(cl)
-		}
-		if sig != ent.sig {
+		if fresh[cl.Victim] != ent.sig {
 			// A mismatch means we cannot prove the cluster unchanged —
 			// recompute, never guess. The base's recorded result for this
 			// victim is superseded.
@@ -351,12 +347,13 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 		return res
 	}
 	rep, err := v.runEngine(ctx, runParams{
-		workers: v.cfg.Workers,
-		strict:  v.cfg.Strict,
-		timeout: v.cfg.ClusterTimeout,
-		retries: v.cfg.RungRetries,
-		backoff: v.cfg.RungRetryBackoff,
-		reuse:   reuse,
+		workers:  v.cfg.Workers,
+		strict:   v.cfg.Strict,
+		timeout:  v.cfg.ClusterTimeout,
+		retries:  v.cfg.RungRetries,
+		backoff:  v.cfg.RungRetryBackoff,
+		reuse:    reuse,
+		clusters: clusters,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -1,8 +1,8 @@
-// stream_ingest.go is the bounded-memory streaming front of the verifier
-// (Config.StreamIngest): nets flow from a StreamSource through the
+// stream_ingest.go is the engine's streamed cluster source
+// (Config.StreamIngest): nets flow from a streamSource through the
 // incremental extraction kernel (internal/extract Streamer) into the
 // streaming clusterer (internal/prune StreamClusterer), and every coupled
-// cluster is handed to the worker pool the moment its component closes —
+// cluster is emitted to the worker pool the moment its component closes —
 // while ingest is still running. Peak memory is O(largest component +
 // frontier) instead of O(chip).
 //
@@ -16,20 +16,15 @@
 //     victims, renumbered by a monotone map, so pruning and circuit
 //     assembly visit bit-identical values in identical order (see
 //     internal/prune stream.go);
-//   - result assembly sorts eagerly-emitted clusters back into global
-//     victim order — the exact order the materialized engine iterates —
-//     before any report field or merged counter is produced.
+//   - the engine sorts eagerly-emitted clusters back into global victim
+//     order — the materialized source's emission order — before any report
+//     field or merged counter is produced.
 package xtverify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
-	"sync"
-	"time"
 
 	"xtverify/internal/deflite"
 	"xtverify/internal/design"
@@ -39,27 +34,13 @@ import (
 	"xtverify/internal/prune"
 )
 
-// StreamSink receives a streamed design, net by net. AddNet must be called
-// in (approximately) ascending-y order — see Config.StreamFrontierSlackUM —
-// and may return an error to abort the stream (cancellation, a frontier
-// violation); sources must propagate it unwrapped.
-type StreamSink interface {
-	// StartDesign names the design; it must be called before any net.
-	StartDesign(name string) error
-	// AddNet hands over one net, complete with pins and routed segments.
-	// The sink assigns the net's global Index; the net must not be reused
-	// or mutated by the source afterwards.
-	AddNet(n *design.Net) error
-	// MarkComplementary records nets a and b (global indices of nets
-	// already added) as a complementary Q/QN pair.
-	MarkComplementary(a, b int)
-}
-
-// StreamSource produces a design as a stream of nets. Stream is called once
-// per verification run and must deliver the same design each time; it
-// returns the first sink error unwrapped, or its own (typed) parse error.
-type StreamSource interface {
-	Stream(ctx context.Context, sink StreamSink) error
+// streamSource produces a design as a stream of nets into the engine's
+// ingestor. Stream is called once per run and must deliver the same design
+// each time, nets in (approximately) ascending-y order — see
+// Config.StreamFrontierSlackUM. It returns the first ingestor error
+// unwrapped, or its own typed parse error.
+type streamSource interface {
+	Stream(ctx context.Context, ing *streamIngestor) error
 }
 
 // requireMaterialized guards APIs that read the whole in-memory design or
@@ -71,16 +52,8 @@ func (v *Verifier) requireMaterialized(op string) error {
 	return nil
 }
 
-// NewStreamVerifier prepares a verifier that ingests from src on every run
-// (Config.StreamIngest is implied). Most callers want NewVerifierFromDSP or
-// NewVerifierFromDEF with Config.StreamIngest set; this entry exists for
-// custom sources (generators, format adapters).
-func NewStreamVerifier(src StreamSource, cfg Config) (*Verifier, error) {
-	cfg.setDefaults()
-	return newStreamVerifier(src, cfg)
-}
-
-func newStreamVerifier(src StreamSource, cfg Config) (*Verifier, error) {
+// newStreamVerifier prepares a verifier that ingests from src on every run.
+func newStreamVerifier(src streamSource, cfg Config) (*Verifier, error) {
 	if cfg.UseTimingWindows {
 		return nil, fmt.Errorf("%w: timing windows need whole-design STA annotation", ErrStreamIngest)
 	}
@@ -91,76 +64,57 @@ func newStreamVerifier(src StreamSource, cfg Config) (*Verifier, error) {
 // the design.
 type dspStreamSource struct{ cfg dsp.Config }
 
-func (s dspStreamSource) Stream(ctx context.Context, sink StreamSink) error {
+func (s dspStreamSource) Stream(ctx context.Context, ing *streamIngestor) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := sink.StartDesign(dsp.DesignName); err != nil {
+	if err := ing.StartDesign(dsp.DesignName); err != nil {
 		return err
 	}
-	// Cancellation propagates through the sink: every AddNet checks the run
-	// context and its error aborts the generator.
-	return dsp.Stream(s.cfg, sink)
+	// Cancellation propagates through the ingestor: every AddNet checks the
+	// run context and its error aborts the generator.
+	return dsp.Stream(s.cfg, ing)
 }
 
 // defStreamSource streams a DEF-subset reader. The reader is consumed by
 // Stream, so a verifier built on it supports one run per rewind.
 type defStreamSource struct{ r io.Reader }
 
-func (s defStreamSource) Stream(ctx context.Context, sink StreamSink) error {
+func (s defStreamSource) Stream(ctx context.Context, ing *streamIngestor) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return deflite.StreamRead(s.r, sink)
+	return deflite.StreamRead(s.r, ing)
 }
 
-// streamUnit is one eagerly-emitted cluster travelling from the ingest
-// goroutine to a worker: the component-scoped analysis views plus the slot
-// the worker's result lands in. The producer appends every unit to its
-// order list before sending, the consumer writes res after receiving, and
-// assembly reads after the pool drains — each handoff carries the needed
-// happens-before edge.
-type streamUnit struct {
-	globalVictim int
-	// size is the pruned cluster size, captured at emission because unit is
-	// released once the worker is done with it — holding every component's
-	// parasitics until report assembly would put peak memory right back at
-	// O(chip).
-	size int
-	unit clusterUnit
-	res  *clusterResult
-}
-
-// streamIngestor is the StreamSink the engine mounts in front of the worker
-// pool: extract → cluster → emit, plus the raw-population statistics the
-// materialized path gets from prune.ComputeStats.
+// streamIngestor is the sink a streamSource feeds: extract → cluster →
+// emit, plus the raw component sizes the materialized source reads off
+// prune.RawClusters.
 type streamIngestor struct {
-	runCtx context.Context
-	str    *extract.Streamer
-	sc     *prune.StreamClusterer
-	unitCh chan<- *streamUnit
+	ctx  context.Context
+	str  *extract.Streamer
+	sc   *prune.StreamClusterer
+	emit emitFunc
 
 	name     string
 	netCount int
-	units    []*streamUnit
 	emitted  int64
-
-	// Raw (pre-pruning) component statistics, accumulated exactly like
-	// prune.ComputeStats: components of ≥ 2 nets only, integer-valued
-	// float sums (exact, so accumulation order is irrelevant).
-	rawClusters int
-	rawMeanSum  float64
-	rawMax      int
+	// rawSizes holds the size of every closed component of ≥ 2 nets.
+	rawSizes []int
 }
 
+// StartDesign names the design; sources call it before any net.
 func (s *streamIngestor) StartDesign(name string) error {
 	s.name = name
 	s.sc.SetDesignName(name)
 	return nil
 }
 
+// AddNet ingests one net, complete with pins and routed segments, and emits
+// every cluster its arrival closed. The ingestor assigns the net's global
+// Index; the source must not reuse or mutate the net afterwards.
 func (s *streamIngestor) AddNet(n *design.Net) error {
-	if err := s.runCtx.Err(); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return err
 	}
 	n.Index = s.netCount
@@ -174,38 +128,27 @@ func (s *streamIngestor) AddNet(n *design.Net) error {
 	if err != nil {
 		return err
 	}
-	return s.emit(closed)
+	return s.emitClosed(closed)
 }
 
+// MarkComplementary records nets a and b (global indices of nets already
+// added) as a complementary Q/QN pair.
 func (s *streamIngestor) MarkComplementary(a, b int) {
 	s.sc.MarkComplementary(a, b)
 }
 
-// emit records each closed component's raw statistics and hands its pruned
-// clusters to the pool, blocking when every worker is busy — which is what
-// bounds in-flight memory under a fast producer.
-func (s *streamIngestor) emit(closed []*prune.ClosedComponent) error {
+// emitClosed records each closed component's raw size and emits its pruned
+// clusters.
+func (s *streamIngestor) emitClosed(closed []*prune.ClosedComponent) error {
 	for _, c := range closed {
 		if n := len(c.Members); n >= 2 {
-			s.rawClusters++
-			s.rawMeanSum += float64(n)
-			if n > s.rawMax {
-				s.rawMax = n
-			}
+			s.rawSizes = append(s.rawSizes, n)
 		}
 		for _, scl := range c.Clusters {
-			su := &streamUnit{
-				globalVictim: scl.GlobalVictim,
-				size:         scl.Cluster.Size(),
-				unit:         clusterUnit{cl: scl.Cluster, par: scl.Par, des: scl.Par.Design},
+			if err := s.emit(scl.GlobalVictim, clusterUnit{cl: scl.Cluster, par: scl.Par, des: scl.Par.Design}); err != nil {
+				return err
 			}
-			s.units = append(s.units, su)
-			select {
-			case <-s.runCtx.Done():
-				return s.runCtx.Err()
-			case s.unitCh <- su:
-				s.emitted++
-			}
+			s.emitted++
 		}
 	}
 	return nil
@@ -216,217 +159,41 @@ func (s *streamIngestor) emit(closed []*prune.ClosedComponent) error {
 func (s *streamIngestor) finish() error {
 	closed, err := s.sc.Retire(s.str.Finish())
 	if err == nil {
-		err = s.emit(closed)
+		err = s.emitClosed(closed)
 	}
 	if err != nil {
 		return err
 	}
 	rem, err := s.sc.Finish()
 	if err == nil {
-		err = s.emit(rem)
+		err = s.emitClosed(rem)
 	}
 	return err
 }
 
-// runStreamEngine is runEngine's streaming twin: ingest runs on the calling
-// goroutine and overlaps the worker pool, then results are sorted back into
-// victim order and assembled through the exact same accounting as the
-// materialized engine — byte-identical reports, serial or parallel, cold or
-// warm cache.
-func (v *Verifier) runStreamEngine(ctx context.Context, p runParams) (*Report, error) {
-	if p.reuse != nil {
-		return nil, fmt.Errorf("%w: incremental reverify needs a materialized base design", ErrStreamIngest)
-	}
-	if v.cfg.UseTimingWindows {
-		return nil, fmt.Errorf("%w: timing windows need whole-design STA annotation", ErrStreamIngest)
-	}
-	col := v.cfg.Collector
-	baseOpts := v.baseGlitchOptions()
-	cs := v.setupEngineCaches(&baseOpts)
-	workers := p.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unitCh := make(chan *streamUnit)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for su := range unitCh {
-				if runCtx.Err() != nil {
-					continue // run aborted: leave the slot unattempted
-				}
-				col.TaskStarted()
-				su.res = v.analyzeCluster(runCtx, baseOpts, su.unit, p)
-				// Release the component-scoped views: once every cluster of a
-				// component is analyzed, its mini design and parasitics are
-				// garbage. Report assembly only reads res and size.
-				su.unit = clusterUnit{}
-				col.TaskDone()
-				if p.strict && su.res.err != nil {
-					cancel() // fail fast: stop ingest and drain
-				}
-			}
-		}()
-	}
-
+// streamClusters is the streamed cluster source: it ingests v.src through
+// the extraction kernel and the streaming clusterer, emitting each cluster
+// the moment its component closes. The prune span covers the whole ingest.
+func (v *Verifier) streamClusters(ctx context.Context, emit emitFunc) (sourceInfo, error) {
 	slack := v.cfg.StreamFrontierSlackUM
 	if slack <= 0 {
 		slack = extract.DefaultFrontierSlackUM
 	}
 	ing := &streamIngestor{
-		runCtx: runCtx,
-		str:    extract.NewStreamer(extract.Tech025(), slack),
-		sc:     prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
-		unitCh: unitCh,
+		ctx:  ctx,
+		str:  extract.NewStreamer(extract.Tech025(), slack),
+		sc:   prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
+		emit: emit,
 	}
-	ingestSpan := col.Start(obs.PhasePrune)
-	serr := v.src.Stream(runCtx, ing)
-	if serr == nil {
-		serr = ing.finish()
+	col := v.cfg.Collector
+	span := col.Start(obs.PhasePrune)
+	err := v.src.Stream(ctx, ing)
+	if err == nil {
+		err = ing.finish()
 	}
-	ingestSpan.End()
-	close(unitCh)
-	wg.Wait()
-
-	// Caller cancellation or deadline wins over any per-cluster outcome.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Back into global victim order — the materialized engine's cluster
-	// order, which every report field and counter merge below assumes.
-	// Victims are unique (each net closes in exactly one component).
-	units := ing.units
-	sort.Slice(units, func(i, j int) bool { return units[i].globalVictim < units[j].globalVictim })
-	if p.strict {
-		// Report the earliest genuine failure in cluster order, exactly as
-		// the serial loop did; skip casualties of our own fail-fast cancel.
-		var firstAny error
-		for _, su := range units {
-			if su.res == nil || su.res.err == nil {
-				continue
-			}
-			if !errors.Is(su.res.err, context.Canceled) {
-				return nil, su.res.err
-			}
-			if firstAny == nil {
-				firstAny = su.res.err
-			}
-		}
-		if firstAny != nil {
-			return nil, firstAny
-		}
-	}
-	if serr != nil {
-		// An ingest failure: a typed parse or frontier error, or the echo of
-		// our own fail-fast cancellation (whose cause was returned above).
-		return nil, serr
-	}
-
-	// The materialized engine clamps the worker count against the cluster
-	// total before starting the pool; streaming cannot know the total up
-	// front, so the same clamp is reproduced at report time.
-	reportWorkers := workers
-	if reportWorkers > len(units) {
-		reportWorkers = len(units)
-	}
-	if reportWorkers < 1 {
-		reportWorkers = 1
-	}
-
-	// Pruned-population statistics in victim order, mirroring
-	// prune.ComputeStats (integer-valued sums, so order is moot — the float
-	// bits still come out identical).
-	stats := prune.Stats{
-		RawClusters: ing.rawClusters,
-		RawMeanSize: ing.rawMeanSum,
-		RawMaxSize:  ing.rawMax,
-	}
-	if stats.RawClusters > 0 {
-		stats.RawMeanSize /= float64(stats.RawClusters)
-	}
-	for _, su := range units {
-		stats.PrunedClusters++
-		stats.PrunedMeanSize += float64(su.size)
-		if su.size > stats.PrunedMaxSize {
-			stats.PrunedMaxSize = su.size
-		}
-	}
-	if stats.PrunedClusters > 0 {
-		stats.PrunedMeanSize /= float64(stats.PrunedClusters)
-	}
-
-	rep := &Report{
-		DesignName: ing.name,
-		NetCount:   ing.netCount,
-		Prune: PruneSummary{
-			RawMeanClusterNets:    stats.RawMeanSize,
-			RawMaxClusterNets:     stats.RawMaxSize,
-			PrunedMeanClusterNets: stats.PrunedMeanSize,
-			PrunedMaxClusterNets:  stats.PrunedMaxSize,
-			ClustersAnalyzed:      stats.PrunedClusters,
-		},
-	}
-	diag := &Diagnostics{Workers: reportWorkers, Strict: p.strict}
-	for _, su := range units {
-		r := su.res
-		if r == nil {
-			continue
-		}
-		rep.AnalyzedVictims++
-		diag.Clusters = append(diag.Clusters, r.outcome)
-		// Serial, victim-order merge — identical totals across serial,
-		// parallel and materialized runs.
-		col.MergeTrace(r.outcome.Victim, r.outcome.Stage.String(), r.trace)
-		if r.outcome.Err != nil {
-			diag.Unverified++
-		} else {
-			diag.Verified++
-			if r.outcome.Stage != StageReduced && r.outcome.Stage != StageScreened {
-				diag.Degraded++
-			}
-		}
-		if r.violation != nil {
-			rep.Violations = append(rep.Violations, *r.violation)
-		}
-	}
-	if !v.cfg.DisableScreening {
-		scr := &ScreeningSummary{
-			SafetyFactor: v.cfg.ScreenSafetyFactor,
-			MarginV:      v.cfg.GlitchThresholdFrac * Vdd,
-		}
-		for _, su := range units {
-			if su.res != nil && su.res.outcome.Stage == StageScreened {
-				scr.Screened++
-				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: su.res.outcome.Victim, BoundV: su.res.outcome.ScreenBoundV})
-			}
-		}
-		rep.Screening = scr
-	}
-	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
-	v.recordCacheDeltas(cs, diag, col)
+	span.End()
 	col.Add(obs.CtrNetsStreamed, int64(ing.netCount))
 	col.Add(obs.CtrClustersEmittedEager, ing.emitted)
 	col.Add(obs.CtrFrontierPeakNets, int64(ing.str.PeakLiveNets()))
-	if col != nil {
-		col.SetWorkers(reportWorkers)
-		col.SetWallTime(diag.WallTime)
-		diag.Metrics = col.Snapshot()
-	}
-	rep.Diagnostics = diag
-	sort.Slice(rep.Violations, func(i, j int) bool {
-		if rep.Violations[i].FracVdd != rep.Violations[j].FracVdd {
-			return rep.Violations[i].FracVdd > rep.Violations[j].FracVdd
-		}
-		return rep.Violations[i].Victim < rep.Violations[j].Victim
-	})
-	return rep, nil
+	return sourceInfo{name: ing.name, nets: ing.netCount, rawSizes: ing.rawSizes}, err
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xtverify/internal/cells"
+	"xtverify/internal/deflite"
 	"xtverify/internal/design"
 	"xtverify/internal/extract"
 )
@@ -230,8 +231,8 @@ func TestStreamStrictFailFast(t *testing.T) {
 // canonical violation.
 type descendingSource struct{}
 
-func (descendingSource) Stream(ctx context.Context, sink StreamSink) error {
-	if err := sink.StartDesign("descending"); err != nil {
+func (descendingSource) Stream(ctx context.Context, ing *streamIngestor) error {
+	if err := ing.StartDesign("descending"); err != nil {
 		return err
 	}
 	drv, _ := cells.ByName("BUF_X2")
@@ -244,7 +245,7 @@ func (descendingSource) Stream(ctx context.Context, sink StreamSink) error {
 			Receivers: []design.Pin{{Inst: fmt.Sprintf("R%d", i), Cell: rcv, Pin: "A", PosX: 50, PosY: y}},
 			Route:     []design.Segment{{Layer: 2, X0: 0, Y0: y, X1: 50, Y1: y, Width: 0.6}},
 		}
-		if err := sink.AddNet(n); err != nil {
+		if err := ing.AddNet(n); err != nil {
 			return err
 		}
 	}
@@ -254,7 +255,9 @@ func (descendingSource) Stream(ctx context.Context, sink StreamSink) error {
 // TestStreamFrontierViolation checks that out-of-order input surfaces the
 // typed extract.FrontierError instead of silently dropping couplings.
 func TestStreamFrontierViolation(t *testing.T) {
-	sv, err := NewStreamVerifier(descendingSource{}, Config{Model: FixedResistance, StreamFrontierSlackUM: 50})
+	cfg := Config{Model: FixedResistance, StreamFrontierSlackUM: 50}
+	cfg.setDefaults()
+	sv, err := newStreamVerifier(descendingSource{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +269,86 @@ func TestStreamFrontierViolation(t *testing.T) {
 	//xtlint:errcmp parser-style test asserting the rendered invariant hint
 	if !strings.Contains(fe.Error(), "frontier invariant") {
 		t.Errorf("frontier error text %q lacks the invariant hint", fe.Error())
+	}
+}
+
+// dupNet is one net of a hand-built duplicate-name DEF: a 50 µm METAL2 wire
+// at height y from a BUF_X2 driver to an INV_X1 receiver.
+type dupNet struct {
+	name string
+	y    int // µm
+}
+
+// dupNetDEF renders nets as DEF and returns the line that declares the
+// first repeated net name.
+func dupNetDEF(nets []dupNet) (def string, dupLine int) {
+	var b strings.Builder
+	line := 0
+	emit := func(format string, args ...any) {
+		fmt.Fprintf(&b, format+"\n", args...)
+		line++
+	}
+	emit("VERSION 5.8 ;")
+	emit("DESIGN dup ;")
+	emit("UNITS DISTANCE MICRONS 1000 ;")
+	emit("COMPONENTS %d ;", 2*len(nets))
+	for i, n := range nets {
+		emit("- D%d BUF_X2 + PLACED ( 0 %d ) N ;", i, 1000*n.y)
+		emit("- R%d INV_X1 + PLACED ( 50000 %d ) N ;", i, 1000*n.y)
+	}
+	emit("END COMPONENTS")
+	emit("NETS %d ;", len(nets))
+	seen := map[string]bool{}
+	for i, n := range nets {
+		emit("- %s ( D%d Z ) ( R%d A )", n.name, i, i)
+		if seen[n.name] && dupLine == 0 {
+			dupLine = line
+		}
+		seen[n.name] = true
+		emit("+ ROUTED METAL2 600 ( 0 %d ) ( 50000 %d )", 1000*n.y, 1000*n.y)
+		emit(";")
+	}
+	emit("END NETS")
+	emit("END DESIGN")
+	return b.String(), dupLine
+}
+
+// TestDuplicateNetNameRejected pins the duplicate-name contract on both
+// front ends: a DEF that repeats a net name fails with a line-numbered
+// *deflite.ParseError — never a panic, never a report naming one victim
+// twice — whether or not the two copies share a coupled component.
+func TestDuplicateNetNameRejected(t *testing.T) {
+	layouts := []struct {
+		name string
+		nets []dupNet
+	}{
+		// The copies couple to each other.
+		{"one component", []dupNet{{"a", 0}, {"a", 1}}},
+		// Each copy couples to its own partner, 200 µm apart — far beyond the
+		// frontier slack, so the first copy's component has closed (and its
+		// cluster been emitted) before the second copy arrives.
+		{"different components", []dupNet{{"a", 0}, {"b", 1}, {"a", 200}, {"c", 201}}},
+	}
+	for _, l := range layouts {
+		def, dupLine := dupNetDEF(l.nets)
+		for _, stream := range []bool{false, true} {
+			mode := "materialized"
+			if stream {
+				mode = "streamed"
+			}
+			t.Run(l.name+"/"+mode, func(t *testing.T) {
+				v, err := NewVerifierFromDEF(strings.NewReader(def), Config{Model: FixedResistance, StreamIngest: stream})
+				if err == nil {
+					_, err = v.RunContext(context.Background())
+				}
+				var pe *deflite.ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("err = %v, want a *deflite.ParseError", err)
+				}
+				if pe.Line != dupLine || !strings.Contains(pe.Msg, `duplicate net name "a"`) {
+					t.Errorf("parse error %q, want the duplicate name at line %d", pe, dupLine)
+				}
+			})
+		}
 	}
 }

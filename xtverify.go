@@ -387,10 +387,11 @@ type Verifier struct {
 	des *design.Design
 	par *extract.Parasitics
 	// src, when non-nil, marks a streaming verifier (Config.StreamIngest):
-	// des and par stay nil and runEngine routes to runStreamEngine, which
-	// ingests nets from src on every run. APIs that need the materialized
-	// design guard with requireMaterialized.
-	src StreamSource
+	// des and par stay nil, and the engine's cluster source is the streamed
+	// one, which ingests nets from src on every run. Otherwise the engine
+	// uses the materialized source, which clusters des and par. APIs that
+	// need the materialized design guard with requireMaterialized.
+	src streamSource
 	// faultHook, when set (tests only), is invoked before each cluster
 	// attempt and may inject an error or panic to exercise the ladder.
 	faultHook func(victim string, stage FallbackStage) error
