@@ -30,7 +30,6 @@ var (
 	seed     = flag.Int64("seed", 1999, "synthetic DSP seed")
 	workers  = flag.Int("workers", 0, "parallel cluster workers for the verify experiment (0 = GOMAXPROCS)")
 	strict   = flag.Bool("strict", false, "fail fast in the verify experiment instead of degrading")
-	noPrep   = flag.Bool("no-prepared", false, "disable the prepared/batched transient layer in the verify experiment (A/B timing; results are identical either way)")
 	noScreen = flag.Bool("no-screen", false, "disable the rung-0 analytic screen in the verify experiment (A/B; screened clusters are conservative passes)")
 	romCap   = flag.Int("rom-cache-cap", 0, "in-memory ROM cache capacity in entries for the verify experiment (0 = default)")
 	metrics  = flag.String("metrics-out", "", "write the verify experiment's metrics snapshot to this JSON file")
@@ -210,13 +209,11 @@ func run(name string) (string, error) {
 		// Full-chip verification through the fault-tolerant parallel
 		// engine, with the run diagnostics in the rendered report.
 		v, err := xtverify.NewVerifierFromDSP(xtverify.DSPConfig(dspCfg()), xtverify.Config{
-			Workers:     *workers,
-			Strict:      *strict,
-			Collector:   collector,
-			ROMCacheCap: *romCap,
-
-			DisablePreparedTransients: *noPrep,
-			DisableScreening:          *noScreen,
+			Workers:          *workers,
+			Strict:           *strict,
+			Collector:        collector,
+			ROMCacheCap:      *romCap,
+			DisableScreening: *noScreen,
 		})
 		if err != nil {
 			return "", err

@@ -47,7 +47,6 @@ func run() int {
 		timFlag  = flag.Bool("timing", false, "also run the coupled-delay timing impact report")
 		workers  = flag.Int("workers", 0, "parallel cluster workers (0 = GOMAXPROCS)")
 		strict   = flag.Bool("strict", false, "fail fast on the first cluster error instead of degrading")
-		noPrep   = flag.Bool("no-prepared", false, "disable the prepared/batched transient layer (A/B timing; results are identical either way)")
 		noScreen = flag.Bool("no-screen", false, "disable the rung-0 analytic screen (A/B timing; screened clusters are conservative passes)")
 		screenSF = flag.Float64("screen-safety", 0, "rung-0 screening safety factor (0 = default)")
 		cluTO    = flag.Duration("cluster-timeout", 0, "per-cluster analysis deadline (0 = none; per-attempt when -rung-retries > 0)")
@@ -74,10 +73,8 @@ func run() int {
 		ROMCacheCap:           *romCap,
 		StreamIngest:          *stream,
 		StreamFrontierSlackUM: *streamSl,
-
-		DisablePreparedTransients: *noPrep,
-		DisableScreening:          *noScreen,
-		ScreenSafetyFactor:        *screenSF,
+		DisableScreening:      *noScreen,
+		ScreenSafetyFactor:    *screenSF,
 	}
 	if *stream {
 		for _, bad := range []struct {

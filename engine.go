@@ -227,8 +227,10 @@ func (v *Verifier) RunContext(ctx context.Context) (*Report, error) {
 	})
 }
 
-// baseGlitchOptions maps the run config onto the glitch engine's options —
-// everything except the per-run cache wiring.
+// baseGlitchOptions is the one place the run config is mapped onto the
+// glitch engine's options — everything except the per-run cache wiring. The
+// engine and every analysis API (timing impact, window refinement, glitch
+// tracing, repair advice) start from it, so they analyze under one policy.
 func (v *Verifier) baseGlitchOptions() glitch.Options {
 	return glitch.Options{
 		Model:               v.cfg.Model.kind(),
@@ -236,8 +238,8 @@ func (v *Verifier) baseGlitchOptions() glitch.Options {
 		Order:               v.cfg.ReducedOrder,
 		UseTimingWindows:    v.cfg.UseTimingWindows,
 		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisableROMCache:     v.cfg.DisableROMCache,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
+		DisableROMCache:     v.cfg.reference.noROMCache,
+		DisablePrepared:     v.cfg.reference.oneShot,
 	}
 }
 
@@ -258,7 +260,7 @@ type cacheState struct {
 // deltas against the pre-run counters.
 func (v *Verifier) setupEngineCaches(baseOpts *glitch.Options) cacheState {
 	var cs cacheState
-	if !v.cfg.DisableROMCache {
+	if !baseOpts.DisableROMCache {
 		if v.cfg.SharedROMCache != nil {
 			cs.romCache = v.cfg.SharedROMCache
 		} else {
@@ -275,8 +277,8 @@ func (v *Verifier) setupEngineCaches(baseOpts *glitch.Options) cacheState {
 		cs.store0 = v.cfg.ROMStore.Stats()
 		// The store also persists prepared-transient cores (the factorization
 		// behind the reduced model), so a warm process skips diagonalization
-		// too. Gated on the same knobs as the layers it accelerates.
-		if !v.cfg.DisableROMCache && !v.cfg.DisablePreparedTransients {
+		// too. Gated on the same options as the layers it accelerates.
+		if !baseOpts.DisableROMCache && !baseOpts.DisablePrepared {
 			baseOpts.PreparedStore = v.cfg.ROMStore
 		}
 	}

@@ -414,7 +414,7 @@ func TestROMCacheParallelByteIdentical(t *testing.T) {
 	}
 
 	off := par
-	off.DisableROMCache = true
+	off.reference.noROMCache = true
 	if got := render(off, true); got != serial {
 		t.Errorf("cache-disabled report differs from cached serial:\n--- serial ---\n%s--- disabled ---\n%s", serial, got)
 	}
@@ -425,7 +425,7 @@ func TestROMCacheParallelByteIdentical(t *testing.T) {
 	// so probe the cache's hit path with that layer disabled: the polarity
 	// pairs then hit the cache exactly as the historical per-polarity loop.
 	probe := par
-	probe.DisablePreparedTransients = true
+	probe.reference.oneShot = true
 	v := engineVerifier(t, probe)
 	rep, err := v.RunContext(context.Background())
 	if err != nil {

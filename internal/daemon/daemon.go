@@ -30,6 +30,7 @@ import (
 
 	"xtverify"
 	"xtverify/internal/deflite"
+	"xtverify/internal/dsp"
 	"xtverify/internal/extract"
 )
 
@@ -566,12 +567,14 @@ func (s *Server) runJob(ctx context.Context, req *VerifyRequest, cfg xtverify.Co
 		// rounds differently from the DEF parser's DBU division), defeating
 		// every cluster signature. Serving the DEF-parsed form makes base
 		// and delta bit-comparable; DEF-to-DEF parses are exactly stable.
-		gen, err := xtverify.NewVerifierFromDSP(resolveDSP(req.DSP), cfg)
+		// The generated design is written straight to DEF: a verifier built
+		// from it would extract the whole chip only to be thrown away.
+		gen, err := dsp.Generate(resolveDSP(req.DSP))
 		if err != nil {
 			return nil, nil, http.StatusBadRequest, fmt.Errorf("generate design: %w", err)
 		}
 		var sb strings.Builder
-		if err := gen.WriteDEF(&sb); err != nil {
+		if err := deflite.Write(&sb, gen); err != nil {
 			return nil, nil, http.StatusInternalServerError, fmt.Errorf("canonicalize design: %w", err)
 		}
 		v, err = xtverify.NewVerifierFromDEF(strings.NewReader(sb.String()), cfg)

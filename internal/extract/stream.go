@@ -85,7 +85,6 @@ type Streamer struct {
 
 	watermark  float64
 	lastRetire float64
-	netsSeen   int
 }
 
 // NewStreamer returns a Streamer for the given process constants (nil means
@@ -106,9 +105,6 @@ func NewStreamer(tech *Tech, slackUM float64) *Streamer {
 
 // Tech returns the process constants the streamer extracts against.
 func (s *Streamer) Tech() *Tech { return s.tech }
-
-// NetsSeen returns how many nets have been fed so far.
-func (s *Streamer) NetsSeen() int { return s.netsSeen }
 
 // PeakLiveNets returns the high-water count of simultaneously live
 // (unretired) nets — the frontier's peak width.
@@ -131,7 +127,6 @@ func (s *Streamer) AddNet(net *design.Net) (*NetRC, []Coupling, []int, error) {
 		return nil, nil, nil, fmt.Errorf("extract: %w", err)
 	}
 	rc, pcs := extractNet(net, s.tech)
-	s.netsSeen++
 
 	minY := math.Inf(1)
 	for _, y := range rc.NodeY {

@@ -74,18 +74,6 @@ func FireStore(op, path string) error {
 	return (*p)(op, path)
 }
 
-// FailClusters returns a hook that fails every attempt on the named victims
-// with err (all victims when none are named). Other clusters are untouched.
-func FailClusters(err error, victims ...string) ClusterHook {
-	match := matcher(victims)
-	return func(victim, stage string) error {
-		if match(victim) {
-			return fmt.Errorf("faultinject: %s@%s: %w", victim, stage, err)
-		}
-		return nil
-	}
-}
-
 // PanicClusters returns a hook that panics on every attempt on the named
 // victims (all victims when none are named) — the harness's stand-in for a
 // linear-algebra blowup deep inside a reduction.
@@ -108,25 +96,6 @@ func SlowClusters(d time.Duration, victims ...string) ClusterHook {
 	return func(victim, stage string) error {
 		if match(victim) {
 			time.Sleep(d)
-		}
-		return nil
-	}
-}
-
-// FailOnce returns a hook that fails each (victim, stage) attempt with err
-// exactly n times, then lets it through — the shape of a transient overload
-// failure that a retry policy should absorb. The hook is safe for concurrent
-// workers.
-func FailOnce(err error, n int, victims ...string) ClusterHook {
-	match := matcher(victims)
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-	return func(victim, stage string) error {
-		if !match(victim) {
-			return nil
-		}
-		if remaining.Add(-1) >= 0 {
-			return fmt.Errorf("faultinject: %s@%s: %w", victim, stage, err)
 		}
 		return nil
 	}

@@ -50,22 +50,6 @@ func (s *Sparse) Compile() *CSR {
 	return c
 }
 
-// NewCSRFromCoords builds a CSR matrix directly from coordinate entries;
-// duplicates are summed. Used by tests and by permutation.
-func NewCSRFromCoords(n int, coords []Coord) *CSR {
-	s := NewSparse(n)
-	for _, e := range coords {
-		if e.Val != 0 {
-			s.Add(e.Row, e.Col, e.Val)
-		} else {
-			// Preserve explicitly stored zeros (Sparse.Add skips them) so the
-			// structural pattern survives a permutation round trip.
-			s.entries[s.key(e.Row, e.Col)] += 0
-		}
-	}
-	return s.Compile()
-}
-
 // Size returns n for the n×n matrix.
 func (c *CSR) Size() int { return c.n }
 

@@ -69,34 +69,6 @@ func RCM(adj [][]int) []int {
 	return perm
 }
 
-// InvertPerm returns the inverse permutation: if perm[old] = new, the result
-// maps new → old.
-func InvertPerm(perm []int) []int {
-	inv := make([]int, len(perm))
-	for old, new := range perm {
-		inv[new] = old
-	}
-	return inv
-}
-
-// PermuteVec returns y with y[perm[i]] = x[i].
-func PermuteVec(x []float64, perm []int) []float64 {
-	out := make([]float64, len(x))
-	for i, p := range perm {
-		out[p] = x[i]
-	}
-	return out
-}
-
-// UnpermuteVec returns y with y[i] = x[perm[i]]; it inverts PermuteVec.
-func UnpermuteVec(x []float64, perm []int) []float64 {
-	out := make([]float64, len(x))
-	for i, p := range perm {
-		out[i] = x[p]
-	}
-	return out
-}
-
 // Profile returns the skyline profile size (number of stored entries of the
 // lower triangle including the diagonal) of the sparse matrix pattern under
 // the identity ordering.

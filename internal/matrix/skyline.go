@@ -44,10 +44,6 @@ func NewSkylineTemplate(adj [][]int, symmetric bool) *SkylineTemplate {
 // Size returns the matrix dimension.
 func (t *SkylineTemplate) Size() int { return t.n }
 
-// ProfileNNZ returns the number of stored lower-triangle entries including
-// the diagonal.
-func (t *SkylineTemplate) ProfileNNZ() int { return t.lowLen + t.n }
-
 // NewMatrix allocates a zero matrix over the template's profile.
 func (t *SkylineTemplate) NewMatrix() *Skyline {
 	m := &Skyline{t: t, diag: make([]float64, t.n), low: make([]float64, t.lowLen)}

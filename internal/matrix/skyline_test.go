@@ -286,36 +286,6 @@ func TestRCMReducesProfile(t *testing.T) {
 	}
 }
 
-func TestPermuteVecRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		// Random permutation.
-		perm := rng.Perm(n)
-		y := PermuteVec(x, perm)
-		back := UnpermuteVec(y, perm)
-		for i := range x {
-			if x[i] != back[i] {
-				return false
-			}
-		}
-		inv := InvertPerm(perm)
-		for old, new := range perm {
-			if inv[new] != old {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSkylineOutOfProfilePanics(t *testing.T) {
 	s := NewSparse(3)
 	s.Add(0, 0, 1)

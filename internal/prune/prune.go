@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"xtverify/internal/circuit"
-	"xtverify/internal/design"
 	"xtverify/internal/extract"
 )
 
@@ -355,6 +354,3 @@ func (c *Cluster) MemberNets() []int {
 	}
 	return out
 }
-
-// VictimNet is a convenience accessor.
-func (c *Cluster) VictimNet(d *design.Design) *design.Net { return d.Nets[c.Victim] }

@@ -2,11 +2,9 @@ package xtverify
 
 import (
 	"context"
-	"fmt"
 
 	"xtverify/internal/glitch"
 	"xtverify/internal/noiseprop"
-	"xtverify/internal/prune"
 )
 
 // PropagationStage is one hop of a glitch propagation chain.
@@ -43,47 +41,26 @@ func (v *Verifier) TraceGlitch(victim string) (*PropagationTrace, error) {
 }
 
 // TraceGlitchContext is TraceGlitch with cancellation: ctx aborts the glitch
-// analysis of either polarity before the propagation walk starts.
+// analysis of both polarities before the propagation walk starts.
 func (v *Verifier) TraceGlitchContext(ctx context.Context, victim string) (*PropagationTrace, error) {
 	if err := v.requireMaterialized("TraceGlitch"); err != nil {
 		return nil, err
 	}
-	net, ok := v.des.NetByName(victim)
-	if !ok {
-		return nil, fmt.Errorf("xtverify: unknown net %q", victim)
+	cl, err := v.victimCluster(victim)
+	if err != nil {
+		return nil, err
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
+	rise, fall, err := glitch.NewEngine(v.par, v.baseGlitchOptions()).AnalyzeGlitchPairContext(ctx, cl)
+	if err != nil {
+		return nil, err
 	}
-	cl := prune.PruneVictim(v.par, net.Index, pOpt)
-	if len(cl.Aggressors) == 0 {
-		return nil, fmt.Errorf("xtverify: net %q has no retained aggressors", victim)
-	}
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-	})
 	// Worse polarity wins.
-	rise, err := eng.AnalyzeGlitchContext(ctx, cl, true)
-	if err != nil {
-		return nil, err
-	}
-	fall, err := eng.AnalyzeGlitchContext(ctx, cl, false)
-	if err != nil {
-		return nil, err
-	}
 	res, quietHigh := rise, false
 	if -fall.PeakV > rise.PeakV {
 		res, quietHigh = fall, true
 	}
 	prop := noiseprop.New(v.par, noiseprop.Options{})
-	out, err := prop.Propagate(net.Index, res.ReceiverWave, quietHigh)
+	out, err := prop.Propagate(cl.Victim, res.ReceiverWave, quietHigh)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func TestPreparedByteIdenticalToSeedPath(t *testing.T) {
 		base := Config{Model: model, CapRatioThreshold: 0.03}
 
 		seed := base
-		seed.DisablePreparedTransients = true
+		seed.reference.oneShot = true
 		want := renderReport(t, seed, false)
 
 		for _, tc := range []struct {
@@ -54,7 +54,7 @@ func TestPreparedByteIdenticalToSeedPath(t *testing.T) {
 			{"workers8-nocache", true, true},
 		} {
 			cfg := base
-			cfg.DisableROMCache = tc.cacheOff
+			cfg.reference.noROMCache = tc.cacheOff
 			if tc.parallel {
 				cfg.Workers = 8
 			}
@@ -90,7 +90,7 @@ func TestPreparedMetricsCounters(t *testing.T) {
 	}
 
 	off := cfg
-	off.DisablePreparedTransients = true
+	off.reference.oneShot = true
 	_, sOff := runWithCollector(t, off)
 	for _, ctr := range []string{"diagonalize_skipped", "scenarios_batched", "prepared_reuses"} {
 		if sOff.Counters[ctr] != 0 {

@@ -33,6 +33,20 @@ type RepairAdvice struct {
 	Recommended string
 }
 
+// victimCluster resolves a named victim net and prunes its cluster under the
+// engine's policy, refusing a net with no retained aggressors.
+func (v *Verifier) victimCluster(victim string) (*prune.Cluster, error) {
+	net, ok := v.des.NetByName(victim)
+	if !ok {
+		return nil, fmt.Errorf("xtverify: unknown net %q", victim)
+	}
+	cl := prune.PruneVictim(v.par, net.Index, v.pruneOptions())
+	if len(cl.Aggressors) == 0 {
+		return nil, fmt.Errorf("xtverify: net %q has no retained aggressors", victim)
+	}
+	return cl, nil
+}
+
 // AdviseRepair evaluates the standard signal-integrity ECO menu (driver
 // upsizing, spacing, shielding) for the named victim net by re-simulating
 // its cluster under each fix.
@@ -53,22 +67,11 @@ func (v *Verifier) AdviseRepairContext(ctx context.Context, victim string) (*Rep
 		// spliced report instead.
 		return nil, fmt.Errorf("%w: victim %q; advise against the reverified design's verifier", ErrStaleReport, victim)
 	}
-	net, ok := v.des.NetByName(victim)
-	if !ok {
-		return nil, fmt.Errorf("xtverify: unknown net %q", victim)
+	cl, err := v.victimCluster(victim)
+	if err != nil {
+		return nil, err
 	}
-	cl := prune.PruneVictim(v.par, net.Index, v.pruneOptions())
-	if len(cl.Aggressors) == 0 {
-		return nil, fmt.Errorf("xtverify: net %q has no retained aggressors", victim)
-	}
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-	})
+	eng := glitch.NewEngine(v.par, v.baseGlitchOptions())
 	// Analyze the worse polarity first. The pair call shares one reduction
 	// and prepared diagonalization between the polarities, and the repair
 	// sweep below reuses the same engine memo.

@@ -49,8 +49,9 @@ import (
 // CanonicalConfigKey returns a canonical string over every Config field that
 // can change a report's verification content, computed after defaults are
 // resolved — so a zero Config and an explicitly defaulted one share a key.
-// Execution knobs that the byte-identity contract proves irrelevant (worker
-// count, caches, prepared transients, collector) are deliberately excluded.
+// Execution settings that the byte-identity contract proves irrelevant
+// (worker count, ROM cache and store, streaming, collector, and the reference
+// paths the identity tests select) are deliberately excluded.
 // Two runs with equal keys over the same design produce byte-identical
 // reports; the daemon uses the key to address its report cache and Reverify
 // uses it to refuse cross-config splices.
@@ -68,7 +69,7 @@ func (c Config) CanonicalConfigKey() string {
 }
 
 // pruneOptions is the one place the engine's clustering policy is spelled
-// out; runEngine, the repair advisor and the reverify signatures must all
+// out; runEngine, the analysis APIs and the reverify signatures must all
 // prune identically or their cluster sets would diverge.
 func (v *Verifier) pruneOptions() prune.Options {
 	return prune.Options{

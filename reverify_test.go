@@ -131,7 +131,7 @@ func TestReverifyIdentity(t *testing.T) {
 	}{
 		{"serial", func(*Config) {}, false},
 		{"workers8", func(c *Config) { c.Workers = 8 }, false},
-		{"cache-off", func(c *Config) { c.DisableROMCache = true }, false},
+		{"cache-off", func(c *Config) { c.reference.noROMCache = true }, false},
 		{"warm-store", func(*Config) {}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,10 +280,10 @@ func TestCanonicalConfigKey(t *testing.T) {
 	}
 
 	execution := map[string]func(*Config){
-		"Workers":                   func(c *Config) { c.Workers = 8 },
-		"DisableROMCache":           func(c *Config) { c.DisableROMCache = true },
-		"DisablePreparedTransients": func(c *Config) { c.DisablePreparedTransients = true },
-		"Collector":                 func(c *Config) { c.Collector = NewMetricsCollector() },
+		"Workers":              func(c *Config) { c.Workers = 8 },
+		"reference.noROMCache": func(c *Config) { c.reference.noROMCache = true },
+		"reference.oneShot":    func(c *Config) { c.reference.oneShot = true },
+		"Collector":            func(c *Config) { c.Collector = NewMetricsCollector() },
 	}
 	//xtlint:sorted visit order immaterial: each knob is checked independently against the base key
 	for field, mut := range execution {

@@ -59,7 +59,7 @@ func TestScreeningReportIdentity(t *testing.T) {
 			{"workers8-nocache", true, true},
 		} {
 			cfg := base
-			cfg.DisableROMCache = tc.cacheOff
+			cfg.reference.noROMCache = tc.cacheOff
 			if tc.parallel {
 				cfg.Workers = 8
 			}

@@ -52,8 +52,9 @@ func TestStreamReportIdentityDSP(t *testing.T) {
 		{"serial", func(t *testing.T) Config { return Config{Model: TimingLibrary, Workers: 1} }},
 		{"workers8", func(t *testing.T) Config { return Config{Model: TimingLibrary, Workers: 8} }},
 		{"cache-off", func(t *testing.T) Config {
-			return Config{Model: TimingLibrary,
-				DisableROMCache: true, DisablePreparedTransients: true}
+			cfg := Config{Model: TimingLibrary}
+			cfg.reference.noROMCache, cfg.reference.oneShot = true, true
+			return cfg
 		}},
 		{"warm-store", func(t *testing.T) Config {
 			store, err := OpenROMStore(t.TempDir())

@@ -22,6 +22,15 @@ type TimingImpact struct {
 	Aggressors int
 }
 
+// timingEngine is the glitch engine both timing analyses run: the run's
+// policy with the transient lengthened to 8 ns, twice the glitch default, so
+// a coupling-slowed victim edge still crosses Vdd/2 before it ends.
+func (v *Verifier) timingEngine() *glitch.Engine {
+	opt := v.baseGlitchOptions()
+	opt.TEnd = 8e-9
+	return glitch.NewEngine(v.par, opt)
+}
+
 // RunTimingImpact performs the chip-level timing recalculation: every
 // coupled victim's interconnect delay is re-evaluated with aggressors
 // switching opposite (worst case) and compared against the decoupled
@@ -38,23 +47,8 @@ func (v *Verifier) RunTimingImpactContext(ctx context.Context, rising bool) ([]T
 	if err := v.requireMaterialized("RunTimingImpact"); err != nil {
 		return nil, err
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
-	}
-	clusters := prune.Clusters(v.par, pOpt)
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-		TEnd:                8e-9,
-	})
-	impacts, err := eng.TimingImpactReportContext(ctx, clusters, rising)
+	clusters := prune.Clusters(v.par, v.pruneOptions())
+	impacts, err := v.timingEngine().TimingImpactReportContext(ctx, clusters, rising)
 	if err != nil {
 		return nil, err
 	}
@@ -83,23 +77,8 @@ func (v *Verifier) RefineTimingWindows(ctx context.Context) (int, error) {
 	if err := v.requireMaterialized("RefineTimingWindows"); err != nil {
 		return 0, err
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
-	}
-	clusters := prune.Clusters(v.par, pOpt)
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-		TEnd:                8e-9,
-	})
-	impacts, err := eng.TimingImpactWorstEdge(ctx, clusters)
+	clusters := prune.Clusters(v.par, v.pruneOptions())
+	impacts, err := v.timingEngine().TimingImpactWorstEdge(ctx, clusters)
 	if err != nil {
 		return 0, err
 	}

@@ -141,8 +141,8 @@ type Config struct {
 	// RungRetries > 0.
 	RungRetryBackoff time.Duration
 	// ROMCacheCap bounds the in-memory ROM cache (entries, LRU-evicted);
-	// 0 means DefaultROMCacheCap. Ignored when DisableROMCache is set or a
-	// SharedROMCache is supplied.
+	// 0 means DefaultROMCacheCap. Ignored when a SharedROMCache is
+	// supplied.
 	ROMCacheCap int
 	// SharedROMCache, when non-nil, is used instead of a fresh per-run
 	// cache, so reduced models stay warm across runs — the verification
@@ -174,19 +174,13 @@ type Config struct {
 	// the factor adds engineering margin on top and is recorded in the
 	// report's screening section.
 	ScreenSafetyFactor float64
-	// DisableROMCache turns off the memoization of SyMPVL reduced models
-	// across structurally identical clusters. The cache never changes any
-	// reported number (cached models are bit-identical to fresh reductions);
-	// this knob exists for A/B timing comparisons and as an escape hatch.
-	DisableROMCache bool
-	// DisablePreparedTransients turns off the prepared-transient layer: each
-	// glitch/delay scenario then repeats the termination fold and
-	// eigendecomposition through one-shot romsim.Simulate calls, and the two
-	// glitch polarities run sequentially instead of as one batched multi-RHS
-	// sweep. The layer never changes any reported number (prepared and
-	// batched runs are bit-identical to the one-shot path); this knob exists
-	// for A/B timing comparisons and the byte-identity regression tests.
-	DisablePreparedTransients bool
+	// reference selects the slow reference paths the byte-identity tests
+	// compare the production engine against: noROMCache turns off
+	// reduced-model memoization, oneShot the prepared-transient layer (every
+	// scenario re-runs the termination fold and eigendecomposition, and the
+	// glitch polarities run sequentially). Neither changes a reported
+	// number. Only baseGlitchOptions reads it.
+	reference struct{ noROMCache, oneShot bool }
 	// StreamIngest switches the verifier to the bounded-memory streaming
 	// pipeline (stream_ingest.go): nets are parsed, extracted and clustered
 	// incrementally, and each coupled cluster is handed to the worker pool
