@@ -250,3 +250,38 @@ func TestGoldenAnalysisAPIs(t *testing.T) {
 		checkGolden(t, "repair advice", d.sum(), "63a9f8e512d632db3499aa08558ff3656f37434709b27c99e01f6c63cbaf2ab8")
 	})
 }
+
+// TestGoldenSPEF pins the SHA-256 of the small DSP design's SPEF dump: every
+// net's total capacitance, pin attachment, grounded and coupling capacitor
+// and wire resistor, printed as WriteSPEF prints them.
+func TestGoldenSPEF(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	var buf bytes.Buffer
+	if err := engineVerifier(t, Config{Model: FixedResistance, CapRatioThreshold: 0.03}).WriteSPEF(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	checkGolden(t, "SPEF", hex.EncodeToString(sum[:]), "7e3de2be8a39aaf5ab2679038e9e30aabe823d6e22526c7e8f83904b022652bc")
+}
+
+// TestGoldenEM pins every field of every electromigration audit result on
+// the small DSP design at full precision.
+func TestGoldenEM(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	rs, err := engineVerifier(t, Config{Model: FixedResistance, CapRatioThreshold: 0.03}).RunEM(EMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newGoldenDigest()
+	d.num(len(rs))
+	for _, r := range rs {
+		d.str(r.Net)
+		d.str(r.DriverCell)
+		d.f64(r.IAvgMA)
+		d.f64(r.IRMSMA)
+		d.f64(r.IPeakMA)
+		d.f64(r.RMSUtilization)
+		d.flag(r.Violation)
+	}
+	checkGolden(t, "EM audit", d.sum(), "34816479ad2a5a30e1f0a50c8e4825e82e79e589e196946e90bdfb0ee5d20ad3")
+}
