@@ -249,6 +249,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// jobTimeout resolves a request's timeout_ms: the server default when it
+// is unset, and never more than MaxJobTimeout. It compares in milliseconds
+// before converting, because time.Duration(ms) * time.Millisecond overflows
+// above about 9.2·10¹² ms.
+func (s *Server) jobTimeout(ms int64) time.Duration {
+	timeout := s.opts.DefaultJobTimeout
+	if ms > 0 {
+		timeout = s.opts.MaxJobTimeout
+		if ms <= s.opts.MaxJobTimeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
+	}
+	return min(timeout, s.opts.MaxJobTimeout)
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -439,14 +454,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.accepted.Add(1)
 
-	timeout := s.opts.DefaultJobTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.opts.MaxJobTimeout {
-		timeout = s.opts.MaxJobTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.jobTimeout(req.TimeoutMS))
 	defer cancel()
 
 	start := time.Now()

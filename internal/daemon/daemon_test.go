@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -465,6 +466,40 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	verifyOK(t, ts, tinyJob())
 }
 
+// TestHugeTimeoutIsClamped: a timeout_ms too large to convert to a
+// time.Duration is clamped to MaxJobTimeout like any other oversized
+// deadline, on both job endpoints, instead of overflowing into an
+// already-expired one.
+func TestHugeTimeoutIsClamped(t *testing.T) {
+	faultinject.LeakCheck(t)
+	srv, ts := newTestServer(t, Options{})
+	limit := srv.opts.MaxJobTimeout
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, srv.opts.DefaultJobTimeout},
+		{1, time.Millisecond},
+		{limit.Milliseconds(), limit},
+		{limit.Milliseconds() + 1, limit},
+		{10_000_000_000_000, limit},
+		{math.MaxInt64, limit},
+	} {
+		if got := srv.jobTimeout(tc.ms); got != tc.want {
+			t.Errorf("jobTimeout(%d) = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+
+	req := tinyJob()
+	req.TimeoutMS = 10_000_000_000_000
+	base := verifyOK(t, ts, req)
+	reverifyOK(t, ts, &ReverifyRequest{
+		BaseJobID: base.JobID,
+		Repair:    &RepairDelta{Victim: firstVictim(t, base.ReportText), Fix: "upsize-driver"},
+		TimeoutMS: math.MaxInt64,
+	})
+}
+
 // TestConcurrentSubmissions hammers the daemon from many goroutines (run
 // under -race in CI): every request must end 200 or 429, accounting must
 // balance, and nothing may leak or wedge.
@@ -608,13 +643,22 @@ func TestMalformedDEFIs400(t *testing.T) {
 	def := tinyDEF(t)
 	dupName := strings.Replace(def, "\n- ch0/n1 ", "\n- ch0/n0 ", 1)
 	badUnits := strings.Replace(def, "UNITS DISTANCE MICRONS 1000", "UNITS DISTANCE MICRONS minus", 1)
-	if dupName == def || badUnits == def {
-		t.Fatal("tiny DEF lacks the net or UNITS line the test edits")
+	route := strings.Index(def, "+ ROUTED METAL")
+	if dupName == def || badUnits == def || route < 0 {
+		t.Fatal("tiny DEF lacks the net, UNITS or route line the test edits")
 	}
+	// Two NaN routes: the first route's first coordinate alone, which the
+	// rest of the net's wiring survives, and a net whose whole route is one
+	// NaN segment, which leaves it no node at all.
+	x0 := route + strings.Index(def[route:], "( ") + 2
+	routeNaN := def[:x0] + "NaN" + def[x0+strings.Index(def[x0:], " "):]
+	nanOnlyRoute := def[:route] + "+ ROUTED METAL2 600 ( NaN 0 ) ( 1000 0 )" + def[route+strings.Index(def[route:], "\n;"):]
 	_, ts := newTestServer(t, Options{})
 	for _, tc := range []struct{ name, def, msg string }{
 		{"duplicate net name", dupName, `duplicate net name "ch0/n0"`},
 		{"bad UNITS", badUnits, "bad UNITS"},
+		{"NaN route coordinate", routeNaN, `bad coordinate "NaN"`},
+		{"NaN-only route", nanOnlyRoute, `bad coordinate "NaN"`},
 	} {
 		for _, stream := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/stream=%t", tc.name, stream), func(t *testing.T) {
@@ -628,6 +672,14 @@ func TestMalformedDEFIs400(t *testing.T) {
 				}
 				if !strings.Contains(body.Error, "deflite: line ") || !strings.Contains(body.Error, tc.msg) {
 					t.Errorf("error %q lacks the line-numbered %q parse error", body.Error, tc.msg)
+				}
+				health, err := http.Get(ts.URL + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				health.Body.Close()
+				if health.StatusCode != http.StatusOK {
+					t.Errorf("healthz after the rejected job = %d, want 200", health.StatusCode)
 				}
 			})
 		}

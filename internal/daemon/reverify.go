@@ -315,14 +315,7 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.accepted.Add(1)
 
-	timeout := s.opts.DefaultJobTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.opts.MaxJobTimeout {
-		timeout = s.opts.MaxJobTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.jobTimeout(req.TimeoutMS))
 	defer cancel()
 
 	start := time.Now()

@@ -17,8 +17,10 @@ package deflite
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -57,6 +59,10 @@ func (e *ParseError) Error() string {
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *ParseError) Unwrap() error { return e.Err }
+
+// errNotFinite is the cause of a number that parses but is NaN or infinite
+// once converted to microns.
+var errNotFinite = errors.New("not a finite number")
 
 // perr builds a ParseError with a formatted message.
 func perr(line int, format string, args ...any) *ParseError {
@@ -212,12 +218,20 @@ func StreamRead(r io.Reader, sink Sink) error {
 		// nets), never a silently wrong report.
 		netNames = map[uint64]struct{}{}
 	)
+	// toUM converts a DBU token to microns. strconv accepts "NaN" and
+	// "Inf", and a finite token can overflow under a tiny UNITS. Neither may
+	// reach a design: extraction drops a segment with a non-finite end and
+	// attaches a pin at a non-finite position to node 0.
 	toUM := func(tok string) (float64, error) {
 		v, err := strconv.ParseFloat(tok, 64)
 		if err != nil {
 			return 0, err
 		}
-		return v / dbuPerUM, nil
+		um := v / dbuPerUM
+		if math.IsNaN(um) || math.IsInf(um, 0) {
+			return 0, errNotFinite
+		}
+		return um, nil
 	}
 	flushNet := func() error {
 		if curNet != nil && started {
@@ -245,7 +259,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 		case f[0] == "UNITS":
 			if len(f) >= 4 {
 				v, err := strconv.ParseFloat(f[3], 64)
-				if err != nil || v <= 0 {
+				if err != nil || !(v > 0) || math.IsInf(v, 1) {
 					return perr(lineNo, "bad UNITS")
 				}
 				dbuPerUM = v
@@ -372,7 +386,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return &ParseError{Line: lineNo + 1, Msg: "unreadable line", Err: err}
 	}
 	if !started {
 		return &ParseError{Msg: "no DESIGN statement"}

@@ -23,6 +23,7 @@ import (
 	"xtverify/internal/devices"
 	"xtverify/internal/extract"
 	"xtverify/internal/mna"
+	"xtverify/internal/prune"
 	"xtverify/internal/romsim"
 	"xtverify/internal/sympvl"
 )
@@ -96,28 +97,9 @@ func AnalyzeNet(par *extract.Parasitics, netIdx int, opt Options) (*Result, erro
 	res.WidthM = minWidth(net) * 1e-6
 
 	// Single-net circuit: wire RC with all coupling grounded (worst
-	// capacitive load), driver port plus observation at the far end.
-	ckt := circuit.New("em_" + net.Name)
-	for k := range rc.NodeX {
-		ckt.Node(nodeName(net.Name, k))
-	}
-	for i, r := range rc.Res {
-		ckt.AddResistor(fmt.Sprintf("r%d", i), ckt.Node(nodeName(net.Name, r.A)), ckt.Node(nodeName(net.Name, r.B)), r.Ohms)
-	}
-	for k, c := range rc.CapF {
-		if c > 0 {
-			ckt.AddCapacitor(fmt.Sprintf("c%d", k), ckt.Node(nodeName(net.Name, k)), circuit.Ground, c)
-		}
-	}
-	for _, c := range par.Couplings {
-		if c.NetA == netIdx {
-			ckt.AddCapacitor("cc", ckt.Node(nodeName(net.Name, c.NodeA)), circuit.Ground, c.Farads)
-		} else if c.NetB == netIdx {
-			ckt.AddCapacitor("cc", ckt.Node(nodeName(net.Name, c.NodeB)), circuit.Ground, c.Farads)
-		}
-	}
-	drvNode := ckt.Node(nodeName(net.Name, rc.DriverNodes[0]))
-	ckt.AddPort("drv", drvNode, circuit.PortDriver, 0)
+	// capacitive load) and the driver port.
+	ckt := prune.WireCircuit(par, "em_"+net.Name, []int{netIdx})
+	ckt.AddPort("drv", circuit.NodeID(rc.DriverNodes[0]), circuit.PortDriver, 0)
 	sys, err := mna.FromCircuit(ckt, mna.Options{})
 	if err != nil {
 		return nil, err
@@ -180,8 +162,6 @@ func stepFor(period, dt float64) float64 {
 	}
 	return dt
 }
-
-func nodeName(net string, k int) string { return fmt.Sprintf("%s:%d", net, k) }
 
 func minWidth(net *design.Net) float64 {
 	w := math.Inf(1)

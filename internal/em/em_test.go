@@ -37,10 +37,8 @@ func TestCurrentsArePhysical(t *testing.T) {
 	// Charge conservation sanity: the average |I| over the cycle must be
 	// about 2·C·Vdd/T (one charge and one discharge per period).
 	cTot := p.Nets[0].TotalCapF()
-	for a, f := range p.NetCouplingF[0] {
-		if a != 0 {
-			cTot += f
-		}
+	for _, pa := range p.AppendPartners(nil, 0) {
+		cTot += pa.Farads
 	}
 	want := 2 * cTot * 3.0 * 500e6
 	if r.IAvgA < 0.5*want || r.IAvgA > 2*want {

@@ -15,6 +15,7 @@ package extract
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"xtverify/internal/design"
 )
@@ -97,11 +98,81 @@ type Parasitics struct {
 	Design *design.Design
 	Tech   *Tech
 	Nets   []*NetRC
-	// Couplings lists all inter-net coupling capacitors.
+	// Couplings lists all inter-net coupling capacitors in canonical
+	// (NetA, NodeA, NetB, NodeB) order.
 	Couplings []Coupling
-	// NetCouplingF[i][j] aggregates coupling between net i and net j
-	// (sparse map per net).
-	NetCouplingF []map[int]float64
+
+	// netFirst and netCoup index Couplings by net: the couplings touching
+	// net i are Couplings[k] for k in netCoup[netFirst[i]:netFirst[i+1]],
+	// ascending.
+	netFirst []int32
+	netCoup  []int32
+}
+
+// NewParasitics assembles an extraction result: it sorts couplings into
+// canonical order and indexes them by the nets they touch. Every Parasitics
+// is built here, so whole-chip extractions and the streamed component views
+// answer "which couplings touch net i" the same way.
+func NewParasitics(d *design.Design, tech *Tech, nets []*NetRC, couplings []Coupling) *Parasitics {
+	sortCouplings(couplings)
+	p := &Parasitics{Design: d, Tech: tech, Nets: nets, Couplings: couplings}
+	p.netFirst = make([]int32, len(nets)+1)
+	for _, c := range couplings {
+		p.netFirst[c.NetA+1]++
+		p.netFirst[c.NetB+1]++
+	}
+	for i := range nets {
+		p.netFirst[i+1] += p.netFirst[i]
+	}
+	p.netCoup = make([]int32, 2*len(couplings))
+	next := append([]int32(nil), p.netFirst[:len(nets)]...)
+	for k, c := range couplings {
+		p.netCoup[next[c.NetA]] = int32(k)
+		next[c.NetA]++
+		p.netCoup[next[c.NetB]] = int32(k)
+		next[c.NetB]++
+	}
+	return p
+}
+
+// NetCouplings returns the indices into Couplings of the couplings that
+// touch net i, ascending — the order a scan of Couplings meets them. The
+// slice is shared; callers must not modify it.
+func (p *Parasitics) NetCouplings(i int) []int32 {
+	return p.netCoup[p.netFirst[i]:p.netFirst[i+1]]
+}
+
+// Partner is one net coupled to another, with the total coupling
+// capacitance between the two.
+type Partner struct {
+	Net    int
+	Farads float64
+}
+
+// AppendPartners appends net i's coupling partners to buf in ascending net
+// order and returns the extended slice. Each partner's total is summed in
+// Couplings order, so it carries the same bits wherever it is computed.
+func (p *Parasitics) AppendPartners(buf []Partner, i int) []Partner {
+	start := len(buf)
+	for _, k := range p.NetCouplings(i) {
+		c := &p.Couplings[k]
+		other := c.NetA
+		if other == i {
+			other = c.NetB
+		}
+		// Find other's place in the sorted partners appended so far; a net
+		// has only a few, so a scan from the end beats a search.
+		j := len(buf)
+		for j > start && buf[j-1].Net > other {
+			j--
+		}
+		if j == start || buf[j-1].Net != other {
+			buf = slices.Insert(buf, j, Partner{Net: other})
+			j++
+		}
+		buf[j-1].Farads += c.Farads
+	}
+	return buf
 }
 
 // piece is one ≤MaxSeg wire fragment prepared for coupling extraction.
@@ -122,26 +193,18 @@ func Extract(d *design.Design, tech *Tech) (*Parasitics, error) {
 		return nil, fmt.Errorf("extract: %w", err)
 	}
 	s := NewStreamer(tech, Unbounded)
-	p := &Parasitics{Design: d, Tech: s.tech}
+	nets := make([]*NetRC, 0, len(d.Nets))
+	var couplings []Coupling
 	for _, net := range d.Nets {
 		rc, final, _, err := s.AddNet(net)
 		if err != nil {
 			return nil, err
 		}
-		p.Nets = append(p.Nets, rc)
-		p.Couplings = append(p.Couplings, final...)
+		nets = append(nets, rc)
+		couplings = append(couplings, final...)
 	}
 	s.Finish()
-	SortCouplings(p.Couplings)
-	p.NetCouplingF = make([]map[int]float64, len(p.Nets))
-	for i := range p.NetCouplingF {
-		p.NetCouplingF[i] = make(map[int]float64)
-	}
-	for _, c := range p.Couplings {
-		p.NetCouplingF[c.NetA][c.NetB] += c.Farads
-		p.NetCouplingF[c.NetB][c.NetA] += c.Farads
-	}
-	return p, nil
+	return NewParasitics(d, s.tech, nets, couplings), nil
 }
 
 const snap = 0.005 // µm position-snapping grid for node merging

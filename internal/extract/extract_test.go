@@ -100,10 +100,8 @@ func TestCouplingDominatesForMinPitch(t *testing.T) {
 	// Remove pin caps for the wire-only comparison.
 	wireCg -= d.Nets[1].Drivers[0].Cell.OutDiffCapF + d.Nets[1].Receivers[0].Cell.InputCapF
 	cc := 0.0
-	for a, f := range p.NetCouplingF[1] {
-		if a != 1 {
-			cc += f
-		}
+	for _, pa := range p.AppendPartners(nil, 1) {
+		cc += pa.Farads
 	}
 	frac := cc / (cc + wireCg)
 	if frac < 0.60 {
@@ -111,7 +109,7 @@ func TestCouplingDominatesForMinPitch(t *testing.T) {
 	}
 }
 
-func TestNetCouplingFSymmetric(t *testing.T) {
+func TestPartnersSymmetric(t *testing.T) {
 	d, err := dsp.ParallelWires(3, 400, 1.2, []string{"INV_X2"}, "INV_X1")
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +118,18 @@ func TestNetCouplingFSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := make(map[[2]int]float64)
 	for i := range p.Nets {
-		for j, f := range p.NetCouplingF[i] {
-			if got := p.NetCouplingF[j][i]; got != f {
-				t.Errorf("coupling map asymmetric: (%d,%d)=%g vs (%d,%d)=%g", i, j, f, j, i, got)
-			}
+		for _, pa := range p.AppendPartners(nil, i) {
+			total[[2]int{i, pa.Net}] = pa.Farads
+		}
+	}
+	if len(total) == 0 {
+		t.Fatal("no coupling partners")
+	}
+	for ij, f := range total {
+		if got, ok := total[[2]int{ij[1], ij[0]}]; !ok || got != f {
+			t.Errorf("coupling partners asymmetric: (%d,%d)=%g vs (%d,%d)=%g", ij[0], ij[1], f, ij[1], ij[0], got)
 		}
 	}
 }

@@ -307,9 +307,9 @@ func (s *Streamer) Finish() []int {
 	return retired
 }
 
-// SortCouplings orders couplings by their canonical (NetA, NodeA, NetB,
+// sortCouplings orders couplings by their canonical (NetA, NodeA, NetB,
 // NodeB) key — the order Parasitics.Couplings is pinned to.
-func SortCouplings(cc []Coupling) {
+func sortCouplings(cc []Coupling) {
 	sort.Slice(cc, func(i, j int) bool {
 		a, b := cc[i], cc[j]
 		if a.NetA != b.NetA {

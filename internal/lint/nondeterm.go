@@ -1,8 +1,8 @@
 // The nondeterm analyzer: no entropy sources in the packages that feed
-// report bytes or prune.Fingerprint/InputSigner signatures. The identity
-// contract (serial ≡ parallel ≡ cached ≡ warm-store, splice ≡ cold) only
-// holds if nothing on those paths reads the wall clock, the global
-// math/rand source, or process identity.
+// report bytes or the prune.Fingerprint and prune.AppendInputSignature
+// signatures. The identity contract (serial ≡ parallel ≡ cached ≡
+// warm-store, splice ≡ cold) only holds if nothing on those paths reads
+// the wall clock, the global math/rand source, or process identity.
 package lint
 
 import (

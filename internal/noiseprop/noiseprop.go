@@ -21,6 +21,7 @@ import (
 	"xtverify/internal/devices"
 	"xtverify/internal/extract"
 	"xtverify/internal/mna"
+	"xtverify/internal/prune"
 	"xtverify/internal/romsim"
 	"xtverify/internal/sympvl"
 	"xtverify/internal/waveform"
@@ -183,32 +184,13 @@ func (p *Propagator) stageResponse(n int, in *waveform.Waveform, inQuietHigh boo
 	// Build the single-net circuit (couplings grounded — the disturbance
 	// under study arrives through the gate, not through this net's own
 	// aggressors).
-	ckt := circuit.New("np_" + d.Nets[n].Name)
-	name := func(k int) string { return fmt.Sprintf("%s:%d", d.Nets[n].Name, k) }
-	for k := range rc.NodeX {
-		ckt.Node(name(k))
-	}
-	for i, r := range rc.Res {
-		ckt.AddResistor(fmt.Sprintf("r%d", i), ckt.Node(name(r.A)), ckt.Node(name(r.B)), r.Ohms)
-	}
-	for k, c := range rc.CapF {
-		if c > 0 {
-			ckt.AddCapacitor(fmt.Sprintf("c%d", k), ckt.Node(name(k)), circuit.Ground, c)
-		}
-	}
-	for _, c := range p.par.Couplings {
-		if c.NetA == n {
-			ckt.AddCapacitor("cc", ckt.Node(name(c.NodeA)), circuit.Ground, c.Farads)
-		} else if c.NetB == n {
-			ckt.AddCapacitor("cc", ckt.Node(name(c.NodeB)), circuit.Ground, c.Farads)
-		}
-	}
-	ckt.AddPort("drv", ckt.Node(name(rc.DriverNodes[0])), circuit.PortDriver, 0)
+	ckt := prune.WireCircuit(p.par, "np_"+d.Nets[n].Name, []int{n})
+	ckt.AddPort("drv", circuit.NodeID(rc.DriverNodes[0]), circuit.PortDriver, 0)
 	obs := rc.DriverNodes[0]
 	if len(rc.ReceiverNodes) > 0 {
 		obs = rc.ReceiverNodes[0]
 	}
-	ckt.AddPort("rcv", ckt.Node(name(obs)), circuit.PortReceiver, 0)
+	ckt.AddPort("rcv", circuit.NodeID(obs), circuit.PortReceiver, 0)
 	sys, err := mna.FromCircuit(ckt, mna.Options{})
 	if err != nil {
 		return nil, false, err

@@ -3,7 +3,7 @@ package prune
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"xtverify/internal/circuit"
 	"xtverify/internal/extract"
@@ -65,41 +65,22 @@ func Fingerprint(ckt *circuit.Circuit, gmin float64, order int, decoupled bool) 
 	return string(buf)
 }
 
-// InputSigner fingerprints a cluster's circuit from BuildCircuit's inputs,
-// without building it. BuildCircuit is a deterministic function of the
-// parasitics and the cluster, so serializing exactly what it reads — member
-// wire RC, ports, and the couplings it would retain or ground, in the order
-// it would add them — certifies the built circuit element-for-element (up to
-// names, which the analysis never reads). Equal input serializations
-// therefore imply bit-equal analysis results, the same guarantee Fingerprint
-// gives over the built circuit, at a fraction of the cost: building the
-// circuit scans the whole design's coupling list per cluster, while the
-// signer indexes it once per design.
+// AppendInputSignature appends the fingerprint of cl's circuit, computed
+// from BuildCircuit's inputs without building it, to buf and returns it.
+// BuildCircuit is a deterministic function of the parasitics and the
+// cluster, so serializing exactly what it reads — member wire RC, ports, and
+// the couplings it would retain or ground, in the order it would add them —
+// certifies the built circuit element-for-element (up to names, which the
+// analysis never reads). Equal input serializations therefore imply
+// bit-equal analysis results, the same guarantee Fingerprint gives over the
+// built circuit, without paying for node names and element lists.
 //
 // Like Fingerprint, the serialization is canonical up to renaming: nets are
 // identified by member position (victim first, aggressors in cluster order)
 // and nodes by per-net index, never by name. Couplings to non-members are
 // reduced to the member-side endpoint and value — all BuildCircuit keeps of
 // them — so edits elsewhere in the design cannot defeat reuse.
-type InputSigner struct {
-	p *extract.Parasitics
-	// byNet[i] lists the indices into p.Couplings touching net i, ascending —
-	// the order BuildCircuit's full scan would encounter them.
-	byNet [][]int32
-}
-
-// NewInputSigner indexes the design's couplings by net, once.
-func NewInputSigner(p *extract.Parasitics) *InputSigner {
-	byNet := make([][]int32, len(p.Nets))
-	for i, c := range p.Couplings {
-		byNet[c.NetA] = append(byNet[c.NetA], int32(i))
-		byNet[c.NetB] = append(byNet[c.NetB], int32(i))
-	}
-	return &InputSigner{p: p, byNet: byNet}
-}
-
-// AppendCluster appends cl's input fingerprint to buf and returns it.
-func (s *InputSigner) AppendCluster(buf []byte, cl *Cluster) []byte {
+func AppendInputSignature(buf []byte, p *extract.Parasitics, cl *Cluster) []byte {
 	var w [8]byte
 	putU := func(v uint64) {
 		binary.LittleEndian.PutUint64(w[:], v)
@@ -109,13 +90,9 @@ func (s *InputSigner) AppendCluster(buf []byte, cl *Cluster) []byte {
 	putF := func(v float64) { putU(math.Float64bits(v)) }
 
 	members := cl.MemberNets()
-	memberPos := make(map[int]int, len(members))
-	for pos, m := range members {
-		memberPos[m] = pos
-	}
 	putI(len(members))
 	for pos, m := range members {
-		rc := s.p.Nets[m]
+		rc := p.Nets[m]
 		putI(len(rc.NodeX))
 		putI(len(rc.Res))
 		for _, r := range rc.Res {
@@ -138,35 +115,24 @@ func (s *InputSigner) AppendCluster(buf []byte, cl *Cluster) []byte {
 			}
 		}
 	}
-	// Couplings touching any member, in global scan order (a coupling between
-	// two members appears in both nets' lists; the duplicate is skipped).
-	// Only the content BuildCircuit keeps is serialized — never the global
-	// index, which shifts with unrelated edits elsewhere in the design.
-	idxs := make([]int32, 0, 32)
-	for _, m := range members {
-		idxs = append(idxs, s.byNet[m]...)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	uniq := idxs[:0]
-	for k, ci := range idxs {
-		if k == 0 || ci != idxs[k-1] {
-			uniq = append(uniq, ci)
-		}
-	}
-	putI(len(uniq))
-	for _, ci := range uniq {
-		c := &s.p.Couplings[ci]
-		posA, aIn := memberPos[c.NetA]
-		posB, bIn := memberPos[c.NetB]
+	// Couplings touching any member, in WireCircuit's order. Only the
+	// content BuildCircuit keeps is serialized — never the global index,
+	// which shifts with unrelated edits elsewhere in the design.
+	idxs := netsCouplings(p, members)
+	putI(len(idxs))
+	for _, ci := range idxs {
+		c := &p.Couplings[ci]
+		posA := slices.Index(members, c.NetA)
+		posB := slices.Index(members, c.NetB)
 		switch {
-		case aIn && bIn:
+		case posA >= 0 && posB >= 0:
 			// Retained member↔member coupling: both endpoints matter.
 			putI(0)
 			putI(posA)
 			putI(c.NodeA)
 			putI(posB)
 			putI(c.NodeB)
-		case aIn:
+		case posA >= 0:
 			// Grounded at the member endpoint; the far net's identity never
 			// reaches the circuit.
 			putI(1)

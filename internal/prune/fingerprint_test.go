@@ -6,14 +6,14 @@ import (
 	"xtverify/internal/sta"
 )
 
-// TestInputSignerCertifiesCircuit is the soundness contract the reverify
+// TestInputSignatureCertifiesCircuit is the soundness contract the reverify
 // layer leans on: whenever two clusters' input fingerprints agree, the
 // circuits BuildCircuit assembles for them must have equal structural
 // fingerprints — reusing one's analysis for the other is then exact. The
 // reverse direction (equal circuits, equal inputs) is also checked on this
 // design: the input form should not be so over-strict that the bus-pattern
 // sharing Fingerprint was designed for is lost.
-func TestInputSignerCertifiesCircuit(t *testing.T) {
+func TestInputSignatureCertifiesCircuit(t *testing.T) {
 	p := extracted(t, channelCfg(7, 80))
 	if err := sta.Annotate(p.Design, p, sta.DefaultOptions()); err != nil {
 		t.Fatal(err)
@@ -22,11 +22,10 @@ func TestInputSignerCertifiesCircuit(t *testing.T) {
 	if len(cls) < 20 {
 		t.Fatalf("only %d clusters; design too small for a pair census", len(cls))
 	}
-	signer := NewInputSigner(p)
 	inputs := make([]string, len(cls))
 	circuits := make([]string, len(cls))
 	for i, cl := range cls {
-		inputs[i] = string(signer.AppendCluster(nil, cl))
+		inputs[i] = string(AppendInputSignature(nil, p, cl))
 		ckt, err := BuildCircuit(p, cl)
 		if err != nil {
 			t.Fatal(err)
@@ -52,11 +51,11 @@ func TestInputSignerCertifiesCircuit(t *testing.T) {
 	t.Logf("%d clusters, %d structurally shared pairs", len(cls), sharedPairs)
 }
 
-// TestInputSignerSensitivity mutates single circuit inputs and expects the
+// TestInputSignatureSensitivity mutates single circuit inputs and expects the
 // fingerprint to move: a resistance, a grounded cap, a coupling value, and a
 // node-count change must all be visible, or reuse could splice a stale
 // result over a real edit.
-func TestInputSignerSensitivity(t *testing.T) {
+func TestInputSignatureSensitivity(t *testing.T) {
 	p := extracted(t, channelCfg(9, 40))
 	if err := sta.Annotate(p.Design, p, sta.DefaultOptions()); err != nil {
 		t.Fatal(err)
@@ -66,17 +65,16 @@ func TestInputSignerSensitivity(t *testing.T) {
 		t.Fatal("no clusters")
 	}
 	cl := cls[0]
-	signer := NewInputSigner(p)
-	orig := string(signer.AppendCluster(nil, cl))
+	orig := string(AppendInputSignature(nil, p, cl))
 
 	mutate := func(name string, apply, undo func()) {
 		apply()
-		got := string(NewInputSigner(p).AppendCluster(nil, cl))
+		got := string(AppendInputSignature(nil, p, cl))
 		undo()
 		if got == orig {
 			t.Errorf("%s: fingerprint unchanged", name)
 		}
-		if back := string(NewInputSigner(p).AppendCluster(nil, cl)); back != orig {
+		if back := string(AppendInputSignature(nil, p, cl)); back != orig {
 			t.Fatalf("%s: undo did not restore the fingerprint", name)
 		}
 	}

@@ -13,6 +13,7 @@ package prune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xtverify/internal/circuit"
@@ -114,24 +115,28 @@ func (c *Cluster) Size() int { return 1 + len(c.Aggressors) }
 
 // PruneVictim applies the capacitance-ratio and timing rules for one victim.
 func PruneVictim(p *extract.Parasitics, victim int, opt Options) *Cluster {
+	var buf [8]extract.Partner
+	cl, _ := pruneVictim(p, victim, opt, buf[:0])
+	return cl
+}
+
+// pruneVictim is PruneVictim with a partner buffer that a loop over victims
+// hands from one call to the next.
+func pruneVictim(p *extract.Parasitics, victim int, opt Options, buf []extract.Partner) (*Cluster, []extract.Partner) {
 	d := p.Design
 	vNet := d.Nets[victim]
-	// Iterate couplings in net order, not map order: the kept/dropped
-	// capacitance accumulations below must not depend on map iteration
-	// randomness or repeated runs drift in the last ulps.
-	partners := make([]int, 0, len(p.NetCouplingF[victim]))
-	for a := range p.NetCouplingF[victim] {
-		partners = append(partners, a)
-	}
-	sort.Ints(partners)
+	// Partners come in net order with their couplings summed in Couplings
+	// order, so the kept/dropped accumulations below are reproducible to
+	// the last bit.
+	partners := p.AppendPartners(buf[:0], victim)
 	// Victim total capacitance: grounded plus all coupling.
 	cTot := p.Nets[victim].TotalCapF()
-	for _, a := range partners {
-		cTot += p.NetCouplingF[victim][a]
+	for _, pa := range partners {
+		cTot += pa.Farads
 	}
 	cl := &Cluster{Victim: victim}
-	for _, a := range partners {
-		f := p.NetCouplingF[victim][a]
+	for _, pa := range partners {
+		a, f := pa.Net, pa.Farads
 		keep := f >= opt.MinCouplingF && (cTot == 0 || f/cTot >= opt.CapRatioThreshold)
 		if keep && opt.UseTimingWindows {
 			if !vNet.Window.Overlaps(d.Nets[a].Window) {
@@ -158,18 +163,20 @@ func PruneVictim(p *extract.Parasitics, victim int, opt Options) *Cluster {
 		}
 		cl.Aggressors = cl.Aggressors[:opt.MaxAggressors]
 	}
-	return cl
+	return cl, partners
 }
 
 // Clusters prunes every eligible victim (non-clock nets with at least one
 // kept aggressor).
 func Clusters(p *extract.Parasitics, opt Options) []*Cluster {
 	var out []*Cluster
+	var buf []extract.Partner
 	for i, net := range p.Design.Nets {
 		if net.ClockNet {
 			continue
 		}
-		cl := PruneVictim(p, i, opt)
+		var cl *Cluster
+		cl, buf = pruneVictim(p, i, opt, buf)
 		if len(cl.Aggressors) > 0 {
 			out = append(out, cl)
 		}
@@ -262,83 +269,22 @@ func Summarize(rawSizes, prunedSizes []int) Stats {
 }
 
 // BuildCircuit flattens a pruned cluster into the RC circuit handed to model
-// order reduction: member nets' wire RC and grounded caps, retained
-// couplings between members, grounded replacements for couplings to
-// non-members, driver ports for every member driver pin and receiver ports
-// on the victim.
+// order reduction: the members' WireCircuit, driver ports for every member
+// driver pin and receiver ports on the victim.
 //
 // Port order: victim drivers first, then aggressor drivers in cluster order,
-// then victim receivers. The returned portNets maps each port to its
-// member-net position (0 = victim, 1.. = aggressors).
-func BuildCircuit(p *extract.Parasitics, cl *Cluster) (ckt *circuit.Circuit, err error) {
-	members := make([]int, 0, cl.Size())
-	members = append(members, cl.Victim)
-	for _, a := range cl.Aggressors {
-		members = append(members, a.Net)
-	}
-	memberPos := make(map[int]int, len(members))
+// then victim receivers. Each port's Net is its member-net position
+// (0 = victim, 1.. = aggressors).
+func BuildCircuit(p *extract.Parasitics, cl *Cluster) (*circuit.Circuit, error) {
+	members := cl.MemberNets()
+	ckt := WireCircuit(p, "cluster_"+p.Design.Nets[cl.Victim].Name, members)
 	for pos, m := range members {
-		memberPos[m] = pos
-	}
-	ckt = circuit.New(fmt.Sprintf("cluster_%s", p.Design.Nets[cl.Victim].Name))
-	nodeName := func(net, node int) string {
-		return fmt.Sprintf("%s:%d", p.Design.Nets[net].Name, node)
-	}
-	// Wire RC of every member.
-	for pos, m := range members {
-		rc := p.Nets[m]
-		for k := range rc.NodeX {
-			ckt.Node(nodeName(m, k))
+		for di, dn := range p.Nets[m].DriverNodes {
+			ckt.AddPort(fmt.Sprintf("drv_%s_%d", p.Design.Nets[m].Name, di), ckt.Node(nodeName(p, m, dn)), circuit.PortDriver, pos)
 		}
-		for ri, r := range rc.Res {
-			a := ckt.Node(nodeName(m, r.A))
-			b := ckt.Node(nodeName(m, r.B))
-			ckt.AddResistor(fmt.Sprintf("R%s_%d", p.Design.Nets[m].Name, ri), a, b, r.Ohms)
-		}
-		for k, c := range rc.CapF {
-			if c > 0 {
-				ckt.AddCapacitor(fmt.Sprintf("C%s_%d", p.Design.Nets[m].Name, k), ckt.Node(nodeName(m, k)), circuit.Ground, c)
-			}
-		}
-		// Driver ports.
-		for di, dn := range rc.DriverNodes {
-			ckt.AddPort(fmt.Sprintf("drv_%s_%d", p.Design.Nets[m].Name, di), ckt.Node(nodeName(m, dn)), circuit.PortDriver, pos)
-		}
-		_ = pos
 	}
-	// Victim receiver ports.
-	vrc := p.Nets[cl.Victim]
-	for ri, rn := range vrc.ReceiverNodes {
-		ckt.AddPort(fmt.Sprintf("rcv_%s_%d", p.Design.Nets[cl.Victim].Name, ri), ckt.Node(nodeName(cl.Victim, rn)), circuit.PortReceiver, 0)
-	}
-	// Couplings.
-	kept := make(map[int]bool, len(members))
-	for _, m := range members {
-		kept[m] = true
-	}
-	// Track which aggressors were retained for the victim so victim↔dropped
-	// couplings are grounded.
-	keptForVictim := make(map[int]bool, len(cl.Aggressors))
-	for _, a := range cl.Aggressors {
-		keptForVictim[a.Net] = true
-	}
-	for ci, c := range p.Couplings {
-		aIn, bIn := kept[c.NetA], kept[c.NetB]
-		switch {
-		case aIn && bIn:
-			// Coupling between two members. Victim↔aggressor couplings are
-			// always retained; aggressor↔aggressor couplings are retained
-			// too (they shape the aggressor waveforms).
-			na := ckt.Node(nodeName(c.NetA, c.NodeA))
-			nb := ckt.Node(nodeName(c.NetB, c.NodeB))
-			ckt.AddCoupling(fmt.Sprintf("CC%d", ci), na, nb, c.Farads)
-		case aIn:
-			na := ckt.Node(nodeName(c.NetA, c.NodeA))
-			ckt.AddCapacitor(fmt.Sprintf("CCg%d", ci), na, circuit.Ground, c.Farads)
-		case bIn:
-			nb := ckt.Node(nodeName(c.NetB, c.NodeB))
-			ckt.AddCapacitor(fmt.Sprintf("CCg%d", ci), nb, circuit.Ground, c.Farads)
-		}
+	for ri, rn := range p.Nets[cl.Victim].ReceiverNodes {
+		ckt.AddPort(fmt.Sprintf("rcv_%s_%d", p.Design.Nets[cl.Victim].Name, ri), ckt.Node(nodeName(p, cl.Victim, rn)), circuit.PortReceiver, 0)
 	}
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("prune: cluster circuit invalid: %w", err)
@@ -346,9 +292,67 @@ func BuildCircuit(p *extract.Parasitics, cl *Cluster) (ckt *circuit.Circuit, err
 	return ckt, nil
 }
 
+// WireCircuit returns the RC network of nets without ports: each net's wire
+// resistors and grounded capacitors, the couplings between two of the nets,
+// and every coupling to any other net grounded at its end on the net that
+// is listed. Nodes are created net by net in the order given, so the first
+// net's node k is circuit node k. Couplings are added in Couplings order.
+func WireCircuit(p *extract.Parasitics, name string, nets []int) *circuit.Circuit {
+	ckt := circuit.New(name)
+	for _, m := range nets {
+		rc := p.Nets[m]
+		netName := p.Design.Nets[m].Name
+		for k := range rc.NodeX {
+			ckt.Node(nodeName(p, m, k))
+		}
+		for ri, r := range rc.Res {
+			ckt.AddResistor(fmt.Sprintf("R%s_%d", netName, ri), ckt.Node(nodeName(p, m, r.A)), ckt.Node(nodeName(p, m, r.B)), r.Ohms)
+		}
+		for k, c := range rc.CapF {
+			if c > 0 {
+				ckt.AddCapacitor(fmt.Sprintf("C%s_%d", netName, k), ckt.Node(nodeName(p, m, k)), circuit.Ground, c)
+			}
+		}
+	}
+	for _, ci := range netsCouplings(p, nets) {
+		c := &p.Couplings[ci]
+		aIn, bIn := slices.Contains(nets, c.NetA), slices.Contains(nets, c.NetB)
+		switch {
+		case aIn && bIn:
+			// Coupling between two members. Victim↔aggressor couplings are
+			// always retained; aggressor↔aggressor couplings are retained
+			// too (they shape the aggressor waveforms).
+			na := ckt.Node(nodeName(p, c.NetA, c.NodeA))
+			nb := ckt.Node(nodeName(p, c.NetB, c.NodeB))
+			ckt.AddCoupling(fmt.Sprintf("CC%d", ci), na, nb, c.Farads)
+		case aIn:
+			ckt.AddCapacitor(fmt.Sprintf("CCg%d", ci), ckt.Node(nodeName(p, c.NetA, c.NodeA)), circuit.Ground, c.Farads)
+		default:
+			ckt.AddCapacitor(fmt.Sprintf("CCg%d", ci), ckt.Node(nodeName(p, c.NetB, c.NodeB)), circuit.Ground, c.Farads)
+		}
+	}
+	return ckt
+}
+
+func nodeName(p *extract.Parasitics, net, node int) string {
+	return fmt.Sprintf("%s:%d", p.Design.Nets[net].Name, node)
+}
+
+// netsCouplings returns the indices of the couplings touching any of nets,
+// ascending and each once — the order a scan of Couplings meets them.
+func netsCouplings(p *extract.Parasitics, nets []int) []int32 {
+	var idx []int32
+	for _, m := range nets {
+		idx = append(idx, p.NetCouplings(m)...)
+	}
+	slices.Sort(idx)
+	return slices.Compact(idx)
+}
+
 // MemberNets returns the cluster's net indices, victim first.
 func (c *Cluster) MemberNets() []int {
-	out := []int{c.Victim}
+	out := make([]int, 1, c.Size())
+	out[0] = c.Victim
 	for _, a := range c.Aggressors {
 		out = append(out, a.Net)
 	}

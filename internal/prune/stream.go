@@ -224,46 +224,32 @@ func (s *StreamClusterer) close(c *ufComponent) (*ClosedComponent, error) {
 		}
 	}
 
-	mp := &extract.Parasitics{Design: md, Tech: s.tech}
+	nets := make([]*extract.NetRC, len(members))
 	for local, gi := range members {
 		rc := *s.entries[gi].rc // shallow copy so Net can point at the local copy
 		rc.Net = md.Nets[local]
-		mp.Nets = append(mp.Nets, &rc)
+		nets[local] = &rc
 	}
-	// Couplings in canonical global-key order; the monotone rank map
-	// preserves both the sort order and the NetA < NetB canonical form, so
-	// the local list is exactly the global list's component subsequence.
-	extract.SortCouplings(c.couplings)
-	mp.Couplings = make([]extract.Coupling, 0, len(c.couplings))
-	for _, cc := range c.couplings {
-		mp.Couplings = append(mp.Couplings, extract.Coupling{
+	// The rank map is monotone, so renumbered couplings keep the NetA < NetB
+	// form and NewParasitics sorts them into exactly the order of the global
+	// list's component subsequence.
+	couplings := make([]extract.Coupling, len(c.couplings))
+	for k, cc := range c.couplings {
+		couplings[k] = extract.Coupling{
 			NetA: rank[cc.NetA], NodeA: cc.NodeA,
 			NetB: rank[cc.NetB], NodeB: cc.NodeB,
 			Farads: cc.Farads,
-		})
+		}
 	}
-	mp.NetCouplingF = make([]map[int]float64, len(mp.Nets))
-	for i := range mp.NetCouplingF {
-		mp.NetCouplingF[i] = make(map[int]float64)
-	}
-	for _, cc := range mp.Couplings {
-		mp.NetCouplingF[cc.NetA][cc.NetB] += cc.Farads
-		mp.NetCouplingF[cc.NetB][cc.NetA] += cc.Farads
-	}
+	mp := extract.NewParasitics(md, s.tech, nets, couplings)
 
 	closed := &ClosedComponent{Members: members}
-	for local, net := range md.Nets {
-		if net.ClockNet {
-			continue
-		}
-		cl := PruneVictim(mp, local, s.opt)
-		if len(cl.Aggressors) > 0 {
-			closed.Clusters = append(closed.Clusters, &StreamedCluster{
-				GlobalVictim: members[local],
-				Par:          mp,
-				Cluster:      cl,
-			})
-		}
+	for _, cl := range Clusters(mp, s.opt) {
+		closed.Clusters = append(closed.Clusters, &StreamedCluster{
+			GlobalVictim: members[cl.Victim],
+			Par:          mp,
+			Cluster:      cl,
+		})
 	}
 
 	for _, gi := range members {

@@ -293,3 +293,93 @@ func TestStreamEqualityDSPChannel(t *testing.T) {
 		t.Fatal("Unbounded must be +Inf")
 	}
 }
+
+// checkCouplingIndex compares p's per-net coupling index against a scan of
+// p.Couplings: the same coupling indices for every net, and partner totals
+// equal bit for bit to sums accumulated in a scan.
+func checkCouplingIndex(t *testing.T, what string, p *extract.Parasitics) {
+	t.Helper()
+	scan := make([][]int32, len(p.Nets))
+	sums := make([]map[int]float64, len(p.Nets))
+	for i := range sums {
+		sums[i] = make(map[int]float64)
+	}
+	for k, c := range p.Couplings {
+		scan[c.NetA] = append(scan[c.NetA], int32(k))
+		scan[c.NetB] = append(scan[c.NetB], int32(k))
+		sums[c.NetA][c.NetB] += c.Farads
+		sums[c.NetB][c.NetA] += c.Farads
+	}
+	for i := range p.Nets {
+		if got := p.NetCouplings(i); fmt.Sprint(got) != fmt.Sprint(scan[i]) {
+			t.Fatalf("%s: net %d couplings %v, scan finds %v", what, i, got, scan[i])
+		}
+		partners := p.AppendPartners(nil, i)
+		if len(partners) != len(sums[i]) {
+			t.Fatalf("%s: net %d has %d partners, scan finds %d", what, i, len(partners), len(sums[i]))
+		}
+		for k, pa := range partners {
+			if k > 0 && partners[k-1].Net >= pa.Net {
+				t.Fatalf("%s: net %d partners not ascending: %d then %d", what, i, partners[k-1].Net, pa.Net)
+			}
+			want, ok := sums[i][pa.Net]
+			if !ok || math.Float64bits(pa.Farads) != math.Float64bits(want) {
+				t.Fatalf("%s: net %d partner %d total %x, scan sums %x", what, i, pa.Net, math.Float64bits(pa.Farads), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestCouplingIndexMatchesScan pins the per-net coupling index against a
+// scan of the coupling list, on whole-chip parasitics and on every streamed
+// component view, and checks that a component view's partner totals carry
+// the whole-chip bits.
+func TestCouplingIndexMatchesScan(t *testing.T) {
+	d, err := dsp.Generate(dsp.Config{
+		Seed: 1999, Channels: 6, TracksPerChannel: 30, ChannelLengthUM: 200,
+		BusFraction: 0.05, LatchFraction: 0.25, ComplementaryFraction: 0.2,
+		ClockSpines: 1, TrackPitchUM: 1.4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := extract.Extract(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Couplings) == 0 {
+		t.Fatal("design has no couplings")
+	}
+	checkCouplingIndex(t, "whole chip", p)
+
+	opt := prune.DefaultOptions()
+	opt.CapRatioThreshold = 0.03
+	clusters, comps := streamAll(t, d, extract.DefaultFrontierSlackUM, opt)
+	views := 0
+	seen := make(map[*extract.Parasitics]bool)
+	for _, scl := range clusters {
+		if seen[scl.Par] {
+			continue
+		}
+		seen[scl.Par] = true
+		views++
+		what := fmt.Sprintf("component of net %d", scl.GlobalVictim)
+		checkCouplingIndex(t, what, scl.Par)
+		members := memberIndex(t, comps, scl)
+		for local, global := range members {
+			got, want := scl.Par.AppendPartners(nil, local), p.AppendPartners(nil, global)
+			if len(got) != len(want) {
+				t.Fatalf("%s: net %d has %d partners, whole chip %d", what, global, len(got), len(want))
+			}
+			for k := range got {
+				if members[got[k].Net] != want[k].Net || math.Float64bits(got[k].Farads) != math.Float64bits(want[k].Farads) {
+					t.Fatalf("%s: net %d partner %d: (%d, %g), whole chip (%d, %g)", what, global, k, members[got[k].Net], got[k].Farads, want[k].Net, want[k].Farads)
+				}
+			}
+		}
+	}
+	if views < 2 {
+		t.Fatalf("only %d streamed component views", views)
+	}
+	t.Logf("%d couplings, %d streamed component views", len(p.Couplings), views)
+}

@@ -3,13 +3,15 @@
 // "discard and recompute" — an error, never a panic — and so float64 model
 // payloads round-trip bit-exactly (raw IEEE-754 bits, little-endian).
 //
+// Every entry kind (models here, prepared cores in prepared.go) shares one
+// envelope and differs only in its magic, format version and payload codec.
 // Entry layout (all integers little-endian):
 //
-//	magic      [8]byte  "XTROMS1\n"
-//	version    u32      entryFormatVersion
+//	magic      [8]byte  "XTROMS1\n" for a model
+//	version    u32      the kind's format version (1)
 //	goVersion  str      u32 length + bytes (runtime.Version of the writer)
 //	key        str      the full prune.Fingerprint bytes
-//	payload    str      the model codec below
+//	payload    str      the kind's payload codec (the model codec below)
 //	crc        u32      CRC-32 (IEEE) of every byte above
 //
 // Model payload layout:
@@ -33,8 +35,6 @@ import (
 )
 
 const (
-	entryExt           = ".rom"
-	entryFormatVersion = 1
 	// maxStr bounds any length-prefixed byte field (keys, names, payload);
 	// far above any real entry, low enough that a corrupted length cannot
 	// drive a giant allocation.
@@ -44,10 +44,29 @@ const (
 	maxMatElems = 1 << 23
 )
 
-var entryMagic = [8]byte{'X', 'T', 'R', 'O', 'M', 'S', '1', '\n'}
-
 // errCorrupt is the single decode failure: callers only need "discard".
 var errCorrupt = errors.New("romstore: corrupt or incompatible entry")
+
+// entryKind is one kind of store entry: its file extension, temp-file
+// pattern, magic, format version and payload codec. Everything else — the
+// envelope, the load and save paths, the counters — is shared.
+type entryKind[T any] struct {
+	ext, tmpPattern string
+	magic           [8]byte
+	version         uint32
+	encode          func(T) []byte
+	decode          func([]byte) (T, error)
+}
+
+// modelEntry stores SyMPVL models (.rom).
+var modelEntry = entryKind[*sympvl.Model]{
+	ext:        ".rom",
+	tmpPattern: ".tmp-rom-*",
+	magic:      [8]byte{'X', 'T', 'R', 'O', 'M', 'S', '1', '\n'},
+	version:    1,
+	encode:     encodeModel,
+	decode:     decodeModel,
+}
 
 // appendStr appends a u32 length-prefixed byte string.
 func appendStr(buf []byte, s string) []byte {
@@ -89,12 +108,13 @@ func encodeModel(m *sympvl.Model) []byte {
 	return buf
 }
 
-// encodeEntry wraps the model payload in the versioned, checksummed entry.
-func encodeEntry(key, goVersion string, m *sympvl.Model) []byte {
-	payload := encodeModel(m)
-	buf := make([]byte, 0, len(entryMagic)+16+len(goVersion)+len(key)+len(payload)+8)
-	buf = append(buf, entryMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, entryFormatVersion)
+// encodeEntry wraps v's payload in the kind's versioned, checksummed
+// envelope.
+func (k entryKind[T]) encodeEntry(key, goVersion string, v T) []byte {
+	payload := k.encode(v)
+	buf := make([]byte, 0, len(k.magic)+16+len(goVersion)+len(key)+len(payload)+8)
+	buf = append(buf, k.magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, k.version)
 	buf = appendStr(buf, goVersion)
 	buf = appendStr(buf, key)
 	buf = appendStr(buf, string(payload))
@@ -254,46 +274,48 @@ func decodeModel(payload []byte) (*sympvl.Model, error) {
 }
 
 // decodeEntry validates the full entry envelope — magic, format version,
-// go version, key match, checksum — and then the model payload. Any failure
-// is errCorrupt; a deferred recover turns even an unforeseen decoder bug
-// into "discard and recompute" rather than a crashed daemon.
-func decodeEntry(raw []byte, wantKey, wantGoVersion string) (m *sympvl.Model, err error) {
+// go version, key match, checksum — and then the payload. Any failure is
+// errCorrupt; a deferred recover turns even an unforeseen decoder bug into
+// "discard and recompute" rather than a crashed daemon.
+func (k entryKind[T]) decodeEntry(raw []byte, wantKey, wantGoVersion string) (v T, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			m, err = nil, fmt.Errorf("%w: decoder panic: %v", errCorrupt, rec)
+			var zero T
+			v, err = zero, fmt.Errorf("%w: decoder panic: %v", errCorrupt, rec)
 		}
 	}()
-	if len(raw) < len(entryMagic)+4+4 {
-		return nil, errCorrupt
+	var zero T
+	if len(raw) < len(k.magic)+4+4 {
+		return zero, errCorrupt
 	}
 	// Checksum first: it covers everything and catches most corruption.
 	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, errCorrupt
+		return zero, errCorrupt
 	}
 	r := &reader{b: body}
-	magic, err := r.take(len(entryMagic))
-	if err != nil || string(magic) != string(entryMagic[:]) {
-		return nil, errCorrupt
+	magic, err := r.take(len(k.magic))
+	if err != nil || string(magic) != string(k.magic[:]) {
+		return zero, errCorrupt
 	}
 	version, err := r.u32()
-	if err != nil || version != entryFormatVersion {
-		return nil, errCorrupt
+	if err != nil || version != k.version {
+		return zero, errCorrupt
 	}
 	goVer, err := r.str(1 << 12)
 	if err != nil || string(goVer) != wantGoVersion {
-		return nil, errCorrupt
+		return zero, errCorrupt
 	}
 	key, err := r.str(maxStr)
 	if err != nil || string(key) != wantKey {
-		return nil, errCorrupt
+		return zero, errCorrupt
 	}
 	payload, err := r.str(maxStr)
 	if err != nil {
-		return nil, errCorrupt
+		return zero, errCorrupt
 	}
 	if r.off != len(body) {
-		return nil, errCorrupt
+		return zero, errCorrupt
 	}
-	return decodeModel(payload)
+	return k.decode(payload)
 }

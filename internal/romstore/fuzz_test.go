@@ -10,14 +10,14 @@ import (
 // nil model — or a fully validated model, and must never panic. The seeds
 // include a valid entry so the fuzzer mutates from real structure.
 func FuzzDecodeEntry(f *testing.F) {
-	valid := encodeEntry("seed-key", "go-fuzz-version", testModel())
+	valid := modelEntry.encodeEntry("seed-key", "go-fuzz-version", testModel())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add([]byte{})
 	f.Add([]byte("XTROMS1\n"))
 	f.Add(append(append([]byte{}, valid...), 0))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := decodeEntry(raw, "seed-key", "go-fuzz-version")
+		m, err := modelEntry.decodeEntry(raw, "seed-key", "go-fuzz-version")
 		if (m == nil) == (err == nil) {
 			t.Fatalf("decode invariant broken: model %v err %v", m, err)
 		}
@@ -39,7 +39,7 @@ func FuzzDecodeEntry(f *testing.F) {
 // miss or corrupt-discard without ever panicking or returning a bad model.
 func FuzzStoreLoad(f *testing.F) {
 	key := "fuzz-key"
-	f.Add(encodeEntry(key, "x", testModel()))
+	f.Add(modelEntry.encodeEntry(key, "x", testModel()))
 	f.Add([]byte("not an entry"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -47,7 +47,7 @@ func FuzzStoreLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := s.entryPath(key)
+		path := modelEntry.path(s, key)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

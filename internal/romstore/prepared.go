@@ -7,16 +7,9 @@
 // corruption discarded and recomputed, floats as raw IEEE-754 bits so warm
 // transients are bit-identical to cold ones.
 //
-// Prepared entry layout (all integers little-endian):
-//
-//	magic      [8]byte  "XTPREP1\n"
-//	version    u32      preparedFormatVersion
-//	goVersion  str      u32 length + bytes (runtime.Version of the writer)
-//	key        str      fingerprint + termination-pattern key
-//	payload    str      the core codec below
-//	crc        u32      CRC-32 (IEEE) of every byte above
-//
-// Core payload layout:
+// Prepared entries use the shared envelope (codec.go) with magic
+// "XTPREP1\n", format version 1, the fingerprint + termination-pattern key,
+// and this core payload (all integers little-endian):
 //
 //	order, ports             u32 ×2
 //	dvals                    order × f64
@@ -31,93 +24,36 @@ package romstore
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
 
-	"xtverify/internal/faultinject"
 	"xtverify/internal/romsim"
 )
 
-const (
-	preparedExt           = ".prep"
-	preparedFormatVersion = 1
-	// maxPreparedPorts bounds the port count of a stored core (far above any
-	// real cluster; low enough to stop a corrupted length driving a giant
-	// allocation).
-	maxPreparedPorts = 1 << 16
-)
+// maxPreparedPorts bounds the port count of a stored core (far above any
+// real cluster; low enough to stop a corrupted length driving a giant
+// allocation).
+const maxPreparedPorts = 1 << 16
 
-var preparedMagic = [8]byte{'X', 'T', 'P', 'R', 'E', 'P', '1', '\n'}
-
-// preparedPath maps a prepared key onto its entry file. The key space is
-// disjoint from the model keys by extension, so a fingerprint may own both a
-// .rom and several .prep entries (one per termination pattern).
-func (s *Store) preparedPath(key string) string {
-	return s.entryPath(key)[:len(s.entryPath(key))-len(entryExt)] + preparedExt
+// preparedEntry stores prepared-transient cores (.prep).
+var preparedEntry = entryKind[*romsim.PreparedCore]{
+	ext:        ".prep",
+	tmpPattern: ".tmp-prep-*",
+	magic:      [8]byte{'X', 'T', 'P', 'R', 'E', 'P', '1', '\n'},
+	version:    1,
+	encode:     encodePreparedCore,
+	decode:     decodePreparedCore,
 }
 
 // LoadPrepared returns the stored prepared core for key, or (nil, false).
 // Like Load, it never returns a core it could not fully validate: corruption
 // discards the entry and reports a miss so the caller re-Prepares.
 func (s *Store) LoadPrepared(key string) (*romsim.PreparedCore, bool) {
-	path := s.preparedPath(key)
-	if err := faultinject.FireStore("load", path); err != nil {
-		s.loadErrors.Add(1)
-		return nil, false
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.misses.Add(1)
-		} else {
-			s.loadErrors.Add(1)
-		}
-		return nil, false
-	}
-	c, err := decodePreparedEntry(raw, key, s.goVersion)
-	if err != nil {
-		s.corruptDiscarded.Add(1)
-		_ = os.Remove(path)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return c, true
+	return preparedEntry.load(s, key)
 }
 
 // SavePrepared persists the core under key, best-effort and crash-safe,
-// mirroring Save's temp-file + fsync + rename discipline.
-func (s *Store) SavePrepared(key string, c *romsim.PreparedCore) {
-	path := s.preparedPath(key)
-	if err := faultinject.FireStore("save", path); err != nil {
-		s.writeErrors.Add(1)
-		return
-	}
-	raw := encodePreparedEntry(key, s.goVersion, c)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-prep-*")
-	if err != nil {
-		s.writeErrors.Add(1)
-		return
-	}
-	tmpName := tmp.Name()
-	_, err = tmp.Write(raw)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		s.writeErrors.Add(1)
-		_ = os.Remove(tmpName)
-		return
-	}
-	s.writes.Add(1)
-}
+// like Save.
+func (s *Store) SavePrepared(key string, c *romsim.PreparedCore) { preparedEntry.save(s, key, c) }
 
 // encodePreparedCore serializes the core payload.
 func encodePreparedCore(c *romsim.PreparedCore) []byte {
@@ -150,19 +86,6 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// encodePreparedEntry wraps the core payload in the versioned, checksummed
-// envelope.
-func encodePreparedEntry(key, goVersion string, c *romsim.PreparedCore) []byte {
-	payload := encodePreparedCore(c)
-	buf := make([]byte, 0, len(preparedMagic)+16+len(goVersion)+len(key)+len(payload)+8)
-	buf = append(buf, preparedMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, preparedFormatVersion)
-	buf = appendStr(buf, goVersion)
-	buf = appendStr(buf, key)
-	buf = appendStr(buf, string(payload))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // decodePreparedCore parses and validates a core payload. Beyond the codec
@@ -257,47 +180,4 @@ func decodePreparedCore(payload []byte) (*romsim.PreparedCore, error) {
 		return nil, errCorrupt
 	}
 	return c, nil
-}
-
-// decodePreparedEntry validates the envelope (magic, version, go version,
-// key, checksum) and then the core payload. Any failure is errCorrupt; a
-// recover turns even an unforeseen decoder bug into discard-and-recompute.
-func decodePreparedEntry(raw []byte, wantKey, wantGoVersion string) (c *romsim.PreparedCore, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			c, err = nil, fmt.Errorf("%w: decoder panic: %v", errCorrupt, rec)
-		}
-	}()
-	if len(raw) < len(preparedMagic)+4+4 {
-		return nil, errCorrupt
-	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, errCorrupt
-	}
-	r := &reader{b: body}
-	magic, err := r.take(len(preparedMagic))
-	if err != nil || string(magic) != string(preparedMagic[:]) {
-		return nil, errCorrupt
-	}
-	version, err := r.u32()
-	if err != nil || version != preparedFormatVersion {
-		return nil, errCorrupt
-	}
-	goVer, err := r.str(1 << 12)
-	if err != nil || string(goVer) != wantGoVersion {
-		return nil, errCorrupt
-	}
-	key, err := r.str(maxStr)
-	if err != nil || string(key) != wantKey {
-		return nil, errCorrupt
-	}
-	payload, err := r.str(maxStr)
-	if err != nil {
-		return nil, errCorrupt
-	}
-	if r.off != len(body) {
-		return nil, errCorrupt
-	}
-	return decodePreparedCore(payload)
 }

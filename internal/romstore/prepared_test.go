@@ -110,7 +110,7 @@ func TestPreparedAndModelCoexist(t *testing.T) {
 // reported as misses — never trusted, never fatal.
 func TestPreparedCorruptionDiscarded(t *testing.T) {
 	key := "the-key"
-	valid := encodePreparedEntry(key, "go-test-version", testCore())
+	valid := preparedEntry.encodeEntry(key, "go-test-version", testCore())
 
 	cases := []struct {
 		name string
@@ -122,7 +122,7 @@ func TestPreparedCorruptionDiscarded(t *testing.T) {
 		{"bit flip in payload", flip(valid, len(valid)/2), key},
 		{"bit flip in magic", flip(valid, 0), key},
 		{"key collision", valid, "a-different-key"},
-		{"go version skew", encodePreparedEntry(key, "go-other-version", testCore()), key},
+		{"go version skew", preparedEntry.encodeEntry(key, "go-other-version", testCore()), key},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestPreparedCorruptionDiscarded(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.goVersion = "go-test-version"
-			path := s.preparedPath(tc.key)
+			path := preparedEntry.path(s, tc.key)
 			if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestPreparedInjectedFaults(t *testing.T) {
 	}
 	if ents, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range ents {
-			if filepath.Ext(e.Name()) != preparedExt {
+			if filepath.Ext(e.Name()) != preparedEntry.ext {
 				t.Errorf("stray file %s", e.Name())
 			}
 		}

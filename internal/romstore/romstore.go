@@ -99,8 +99,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len counts the entries currently on disk (directory scan; diagnostics
-// only).
+// Len counts the model entries currently on disk (directory scan;
+// diagnostics only).
 func (s *Store) Len() int {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -108,28 +108,41 @@ func (s *Store) Len() int {
 	}
 	n := 0
 	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == entryExt {
+		if !e.IsDir() && filepath.Ext(e.Name()) == modelEntry.ext {
 			n++
 		}
 	}
 	return n
 }
 
-// entryPath maps a fingerprint key onto its entry file.
-func (s *Store) entryPath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+entryExt)
-}
-
 // Load returns the stored model for key, or (nil, false). It never returns
 // a model it could not fully validate: any corruption discards the entry
 // (removing the file) and reports a miss, so the caller recomputes.
 // Load implements glitch.Backing.
-func (s *Store) Load(key string) (*sympvl.Model, bool) {
-	path := s.entryPath(key)
+func (s *Store) Load(key string) (*sympvl.Model, bool) { return modelEntry.load(s, key) }
+
+// Save persists m under key, best-effort and crash-safe (temp file + fsync +
+// atomic rename). Failures are counted, never surfaced: losing a cache write
+// must not fail a verification. Save implements glitch.Backing.
+func (s *Store) Save(key string, m *sympvl.Model) { modelEntry.save(s, key, m) }
+
+// path maps a key onto its entry file. The file name is the SHA-256 of the
+// key; the extension keeps the kinds' key spaces disjoint, so a fingerprint
+// may own both a .rom and several .prep entries.
+func (k entryKind[T]) path(s *Store, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+k.ext)
+}
+
+// load reads and fully validates the entry for key. An absent file is a
+// miss; corruption removes the file and counts as discarded; any other read
+// failure counts as a load error. All three report (zero, false).
+func (k entryKind[T]) load(s *Store, key string) (T, bool) {
+	var zero T
+	path := k.path(s, key)
 	if err := faultinject.FireStore("load", path); err != nil {
 		s.loadErrors.Add(1)
-		return nil, false
+		return zero, false
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -138,31 +151,30 @@ func (s *Store) Load(key string) (*sympvl.Model, bool) {
 		} else {
 			s.loadErrors.Add(1)
 		}
-		return nil, false
+		return zero, false
 	}
-	m, err := decodeEntry(raw, key, s.goVersion)
+	v, err := k.decodeEntry(raw, key, s.goVersion)
 	if err != nil {
 		// Truncated, bit-flipped, wrong version, or otherwise invalid:
-		// discard so the recomputed model can replace it cleanly.
+		// discard so the recomputed value can replace it cleanly.
 		s.corruptDiscarded.Add(1)
 		_ = os.Remove(path)
-		return nil, false
+		return zero, false
 	}
 	s.hits.Add(1)
-	return m, true
+	return v, true
 }
 
-// Save persists m under key, best-effort and crash-safe (temp file + fsync +
-// atomic rename). Failures are counted, never surfaced: losing a cache write
-// must not fail a verification. Save implements glitch.Backing.
-func (s *Store) Save(key string, m *sympvl.Model) {
-	path := s.entryPath(key)
+// save writes v under key through a synced temp file renamed into place.
+// Failures are counted in WriteErrors and otherwise ignored.
+func (k entryKind[T]) save(s *Store, key string, v T) {
+	path := k.path(s, key)
 	if err := faultinject.FireStore("save", path); err != nil {
 		s.writeErrors.Add(1)
 		return
 	}
-	raw := encodeEntry(key, s.goVersion, m)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-rom-*")
+	raw := k.encodeEntry(key, s.goVersion, v)
+	tmp, err := os.CreateTemp(s.dir, k.tmpPattern)
 	if err != nil {
 		s.writeErrors.Add(1)
 		return

@@ -1,8 +1,10 @@
 package romstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -106,7 +108,7 @@ func TestRoundTripBitExact(t *testing.T) {
 // and reported as misses — never trusted, never fatal.
 func TestCorruptionDiscarded(t *testing.T) {
 	key := "the-key"
-	valid := encodeEntry(key, "go-test-version", testModel())
+	valid := modelEntry.encodeEntry(key, "go-test-version", testModel())
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		t.Run(name, func(t *testing.T) {
@@ -115,7 +117,7 @@ func TestCorruptionDiscarded(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.goVersion = "go-test-version"
-			path := s.entryPath(key)
+			path := modelEntry.path(s, key)
 			raw := mutate(append([]byte(nil), valid...))
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
@@ -143,15 +145,15 @@ func TestCorruptionDiscarded(t *testing.T) {
 	corrupt("bit-flip-magic", func(b []byte) []byte { b[0] ^= 0x01; return b })
 	corrupt("trailing-garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) })
 	corrupt("wrong-go-version", func(b []byte) []byte {
-		return encodeEntry(key, "go-other-version", testModel())
+		return modelEntry.encodeEntry(key, "go-other-version", testModel())
 	})
 	corrupt("wrong-key", func(b []byte) []byte {
-		return encodeEntry("some-other-key", "go-test-version", testModel())
+		return modelEntry.encodeEntry("some-other-key", "go-test-version", testModel())
 	})
 	corrupt("wrong-format-version", func(b []byte) []byte {
 		// Patch the format version in place and re-checksum, so only the
 		// version check can reject it.
-		other := encodeEntry(key, "go-test-version", testModel())
+		other := modelEntry.encodeEntry(key, "go-test-version", testModel())
 		body := other[:len(other)-4]
 		body[9]++ // version u32 starts at offset 8 (after the magic)
 		return appendCRC(body)
@@ -249,8 +251,28 @@ func TestNoStrayTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if filepath.Ext(e.Name()) != entryExt {
+		if filepath.Ext(e.Name()) != modelEntry.ext {
 			t.Errorf("stray file %s in store dir", e.Name())
+		}
+	}
+}
+
+// TestEntryBytesPinned pins the on-disk encoding of both entry kinds. Any
+// change to it makes every persisted store unreadable (each old entry is
+// discarded as corrupt), so it must come with a new format version.
+func TestEntryBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"model", modelEntry.encodeEntry("pinned-key", "go-test-version", testModel()),
+			"eca0906c33281e892fbd143c6df4bae1b42622179bb7ac47998b1e35307795d2"},
+		{"prepared", preparedEntry.encodeEntry("pinned-key", "go-test-version", testCore()),
+			"de6f3405772269f8655cc406db40b19145a45be24b2eef01af89c125ca589aeb"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.raw)); got != tc.want {
+			t.Errorf("%s entry encoding moved:\n  got  %s\n  want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -85,23 +85,14 @@ func Write(w io.Writer, p *extract.Parasitics) error {
 		ref[i] = fmt.Sprintf("*%d", i+1)
 		fmt.Fprintf(bw, "*%d %s\n", i+1, n.Name)
 	}
-	// Index couplings by net for emission under the alphabetically first
-	// net (each coupling appears once).
-	coupByNet := make(map[int][]extract.Coupling)
-	for _, c := range p.Couplings {
-		coupByNet[c.NetA] = append(coupByNet[c.NetA], c)
-	}
+	var partners []extract.Partner
 	for i, rc := range p.Nets {
 		net := rc.Net
 		total := rc.TotalCapF()
 		// Sum in partner order so repeated writes are byte-identical.
-		partners := make([]int, 0, len(p.NetCouplingF[i]))
-		for j := range p.NetCouplingF[i] {
-			partners = append(partners, j)
-		}
-		sort.Ints(partners)
-		for _, j := range partners {
-			total += p.NetCouplingF[i][j]
+		partners = p.AppendPartners(partners[:0], i)
+		for _, pa := range partners {
+			total += pa.Farads
 		}
 		me := ref[i]
 		fmt.Fprintf(bw, "\n*D_NET %s %.6f\n", me, total/1e-15)
@@ -121,7 +112,12 @@ func Write(w io.Writer, p *extract.Parasitics) error {
 			fmt.Fprintf(bw, "%d %s:%d %.6f\n", id, me, node, c/1e-15)
 			id++
 		}
-		for _, c := range coupByNet[i] {
+		// Each coupling is emitted once, under its lower-indexed net.
+		for _, k := range p.NetCouplings(i) {
+			c := &p.Couplings[k]
+			if c.NetA != i {
+				continue
+			}
 			fmt.Fprintf(bw, "%d %s:%d %s:%d %.6f\n", id, me, c.NodeA, ref[c.NetB], c.NodeB, c.Farads/1e-15)
 			id++
 		}

@@ -61,8 +61,8 @@ func TestRoundTripParallelWires(t *testing.T) {
 		cTot += c.Farads
 	}
 	wantC := p.Nets[0].TotalCapF()
-	for _, cf := range p.NetCouplingF[0] {
-		wantC += cf
+	for _, pa := range p.AppendPartners(nil, 0) {
+		wantC += pa.Farads
 	}
 	if math.Abs(cTot-wantC) > 1e-3*wantC {
 		t.Errorf("cap round trip: %g vs %g", cTot, wantC)

@@ -83,10 +83,10 @@ func (v *Verifier) pruneOptions() prune.Options {
 // clusterSignature fingerprints everything cluster analysis reads, beyond
 // what the canonical config key already pins:
 //
-//   - the MNA circuit's inputs (prune.InputSigner: member wire RC, ports,
-//     retained and grounded couplings in build order — names excluded, so a
-//     pure rename still reuses; certifies the built circuit without paying
-//     to build it);
+//   - the MNA circuit's inputs (prune.AppendInputSignature: member wire RC,
+//     ports, retained and grounded couplings in build order — names
+//     excluded, so a pure rename still reuses; certifies the built circuit
+//     without paying to build it);
 //   - the victim's name (it appears verbatim in report lines);
 //   - every member's driver cells and the victim's receiver cells (driver
 //     strength, VTC classification, sequential flag);
@@ -102,7 +102,6 @@ func (v *Verifier) pruneOptions() prune.Options {
 // alias; floats travel as raw IEEE-754 bits because reuse demands bit
 // equality, not approximate equality.
 func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
-	v.signerOnce.Do(func() { v.signer = prune.NewInputSigner(v.par) })
 	buf := make([]byte, 0, 1024)
 	str := func(s string) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
@@ -123,7 +122,7 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 	}
 	// Gmin/order/decoupling variants are pinned by the config key, so the
 	// circuit-input form suffices here.
-	buf = v.signer.AppendCluster(buf, cl)
+	buf = prune.AppendInputSignature(buf, v.par, cl)
 	members := cl.MemberNets() // victim first, then aggressors in rank order
 	num(len(members))
 	for i, m := range members {

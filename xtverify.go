@@ -38,7 +38,6 @@ import (
 	"xtverify/internal/dsp"
 	"xtverify/internal/extract"
 	"xtverify/internal/glitch"
-	"xtverify/internal/prune"
 	"xtverify/internal/spef"
 	"xtverify/internal/sta"
 	"xtverify/internal/verilog"
@@ -394,10 +393,6 @@ type Verifier struct {
 	// AdviseRepair refuses them with ErrStaleReport.
 	staleMu sync.Mutex
 	stale   map[string]bool
-	// signerOnce lazily builds signer, the per-design coupling index the
-	// reverify signatures read (reverify.go).
-	signerOnce sync.Once
-	signer     *prune.InputSigner
 }
 
 // NewVerifierFromDSP generates the synthetic DSP design (the Section 5
