@@ -285,3 +285,71 @@ func TestGoldenEM(t *testing.T) {
 	}
 	checkGolden(t, "EM audit", d.sum(), "34816479ad2a5a30e1f0a50c8e4825e82e79e589e196946e90bdfb0ee5d20ad3")
 }
+
+// TestGoldenReferencePaths pins the two paths the report never takes on a
+// healthy run: the SPICE-class reference (SPICEGlitch, behavioural view under
+// each driver model plus transistor level) and the fallback ladder's last
+// rung (AnalyzeGlitchPair on the unreduced system, DirectMNA). Every eighth
+// cluster of the small DSP design keeps the run short.
+func TestGoldenReferencePaths(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	want := map[string]string{
+		"spice fixed":      "db4aab9814b7abf82a5cd21796607b588986ddfe5493dc3da48612f604fac99e",
+		"spice library":    "8a29ae20d1ddc069045e261a29e57c4c69a7765de1717ea719d87fd2bc806433",
+		"spice nonlinear":  "2ef8a51c120a1c3e5c8f2086ccbc28f6460f3b8aa5aedf78c77fd85e17d8378c",
+		"spice transistor": "68b136363e41544b370af093f954028fee31a282b1c4e9d1062ce410eeaa6566",
+		"direct fixed":     "e0bb2ddc175e284330359766abe3ef686b385af5413e697578c12c04ff7045c5",
+		"direct library":   "21d729024a36d7aaa79d2e840efac37342d19e9a359761bd75b58f55d91eaaa5",
+		"direct nonlinear": "3dc75d85af784f1a6043593c6abe87326a719d27128560398da9bdfe0c2db56a",
+	}
+	spiceDigest := func(eng *glitch.Engine, cls []*prune.Cluster, transistorLevel bool) string {
+		d := newGoldenDigest()
+		for _, cl := range cls {
+			for _, rising := range []bool{true, false} {
+				r, err := eng.SPICEGlitch(cl, rising, transistorLevel)
+				if err != nil {
+					t.Fatalf("SPICEGlitch victim %d: %v", cl.Victim, err)
+				}
+				d.str(r.VictimName)
+				d.f64(r.PeakV)
+				d.f64(r.PeakTime)
+				d.wave(r.ReceiverWave)
+			}
+		}
+		return d.sum()
+	}
+	for _, m := range goldenModels {
+		v := engineVerifier(t, Config{Model: m.model, CapRatioThreshold: 0.03})
+		var cls []*prune.Cluster
+		for i, cl := range prune.Clusters(v.par, v.pruneOptions()) {
+			if i%8 == 0 {
+				cls = append(cls, cl)
+			}
+		}
+		opts := v.baseGlitchOptions()
+		checkGolden(t, "spice "+m.name, spiceDigest(glitch.NewEngine(v.par, opts), cls, false), want["spice "+m.name])
+		if m.model == FixedResistance {
+			// At transistor level the cells replace the driver models, so
+			// one model covers it.
+			checkGolden(t, "spice transistor", spiceDigest(glitch.NewEngine(v.par, opts), cls, true), want["spice transistor"])
+		}
+
+		opts.DirectMNA = true
+		eng := glitch.NewEngine(v.par, opts)
+		d := newGoldenDigest()
+		for _, cl := range cls {
+			rise, fall, err := eng.AnalyzeGlitchPair(cl)
+			if err != nil {
+				t.Fatalf("%s: DirectMNA victim %d: %v", m.name, cl.Victim, err)
+			}
+			for _, r := range []*glitch.Result{rise, fall} {
+				d.str(r.VictimName)
+				d.f64(r.PeakV)
+				d.f64(r.PeakTime)
+				d.num(r.ReducedOrder)
+				d.wave(r.ReceiverWave)
+			}
+		}
+		checkGolden(t, "direct "+m.name, d.sum(), want["direct "+m.name])
+	}
+}
