@@ -13,52 +13,8 @@ import (
 	"time"
 
 	"xtverify"
-	"xtverify/internal/cells"
-	"xtverify/internal/deflite"
+	"xtverify/internal/daemon"
 )
-
-// upsizeDriver rewrites defText with victim's first driver swapped to the
-// next stronger same-kind cell (the daemon's upsize-driver delta).
-func upsizeDriver(defText, victim string) (string, error) {
-	d, err := deflite.Read(strings.NewReader(defText))
-	if err != nil {
-		return "", err
-	}
-	net, ok := d.NetByName(victim)
-	if !ok || len(net.Drivers) == 0 {
-		return "", fmt.Errorf("victim %q missing or driverless", victim)
-	}
-	drv := net.Drivers[0]
-	var repl *cells.Cell
-	for _, cand := range cells.Library() {
-		if cand.Kind != drv.Cell.Kind || cand.Strength <= drv.Cell.Strength {
-			continue
-		}
-		if repl == nil || cand.Strength < repl.Strength {
-			repl = cand
-		}
-	}
-	if repl == nil {
-		return "", fmt.Errorf("no cell stronger than %s", drv.Cell.Name)
-	}
-	for _, n := range d.Nets {
-		for i := range n.Drivers {
-			if n.Drivers[i].Inst == drv.Inst {
-				n.Drivers[i].Cell = repl
-			}
-		}
-		for i := range n.Receivers {
-			if n.Receivers[i].Inst == drv.Inst {
-				n.Receivers[i].Cell = repl
-			}
-		}
-	}
-	var sb strings.Builder
-	if err := deflite.Write(&sb, d); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
 
 // renderIdentity is the report's identity surface (WriteText, no diagnostics).
 func renderIdentity(rep *xtverify.Report) (string, error) {
@@ -125,7 +81,7 @@ func runReverifySweep() (string, error) {
 		if repairs >= limit {
 			break
 		}
-		edited, err := upsizeDriver(baseDEF, victim)
+		edited, err := daemon.ApplyRepair(baseDEF, &daemon.RepairDelta{Victim: victim, Fix: "upsize-driver"})
 		if err != nil {
 			continue // no stronger cell in the library: not repairable this way
 		}

@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"xtverify/internal/cells"
-	"xtverify/internal/design"
 	"xtverify/internal/extract"
 	"xtverify/internal/prune"
 )
@@ -184,22 +183,6 @@ func BoundLumped(v VictimLump, aggs []AggressorLump, vdd float64) (float64, erro
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// widestDriver returns the driver pin with the widest output stage — the
-// same "strongest of all bus drivers" rule the glitch engine applies, so
-// the bound reasons about the same cell the simulation would attach.
-func widestDriver(pins []design.Pin) (design.Pin, bool) {
-	if len(pins) == 0 {
-		return design.Pin{}, false
-	}
-	best := 0
-	for i, p := range pins[1:] {
-		if p.Cell.Wn > pins[best].Cell.Wn {
-			best = i + 1
-		}
-	}
-	return pins[best], true
-}
-
 // holdResistance upper-bounds the effective resistance of c holding either
 // rail under the given driver model.
 func holdResistance(c *cells.Cell, model DriverModel, fixedOhms float64) (float64, error) {
@@ -268,21 +251,25 @@ func BoundCluster(par *extract.Parasitics, cl *prune.Cluster, opt BoundOptions) 
 	for _, r := range vrc.Res {
 		vl.WireOhms += r.Ohms
 	}
-	vPin, ok := widestDriver(d.Nets[cl.Victim].Drivers)
-	if !ok {
-		return 0, fmt.Errorf("%w: victim %s has no driver", ErrCannotScreen, d.Nets[cl.Victim].Name)
+	// The bound reasons about the driver the glitch engine attaches: the
+	// strongest of a bus's drivers.
+	vNet := d.Nets[cl.Victim]
+	vDrv := vNet.StrongestDriver()
+	if vDrv < 0 {
+		return 0, fmt.Errorf("%w: victim %s has no driver", ErrCannotScreen, vNet.Name)
 	}
 	var err error
-	if vl.HoldOhms, err = holdResistance(vPin.Cell, opt.Model, opt.FixedOhms); err != nil {
+	if vl.HoldOhms, err = holdResistance(vNet.Drivers[vDrv].Cell, opt.Model, opt.FixedOhms); err != nil {
 		return 0, err
 	}
 	aggs := make([]AggressorLump, len(cl.Aggressors))
 	for i, a := range cl.Aggressors {
-		aPin, ok := widestDriver(d.Nets[a.Net].Drivers)
-		if !ok {
-			return 0, fmt.Errorf("%w: aggressor %s has no driver", ErrCannotScreen, d.Nets[a.Net].Name)
+		aNet := d.Nets[a.Net]
+		aDrv := aNet.StrongestDriver()
+		if aDrv < 0 {
+			return 0, fmt.Errorf("%w: aggressor %s has no driver", ErrCannotScreen, aNet.Name)
 		}
-		slew, err := aggressorSlew(aPin.Cell, par.Nets[a.Net].TotalCapF(), opt)
+		slew, err := aggressorSlew(aNet.Drivers[aDrv].Cell, par.Nets[a.Net].TotalCapF(), opt)
 		if err != nil {
 			return 0, err
 		}

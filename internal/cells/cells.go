@@ -140,6 +140,22 @@ func ByName(name string) (*Cell, bool) {
 	return c, ok
 }
 
+// NextStronger returns the same-kind library cell with the smallest
+// strength above c's, or nil when c is the strongest of its kind — the
+// upsize policy of the repair advisor and the daemon's upsize-driver delta.
+func NextStronger(c *Cell) *Cell {
+	var best *Cell
+	for _, cand := range Library() {
+		if cand.Kind != c.Kind || cand.Strength <= c.Strength {
+			continue
+		}
+		if best == nil || cand.Strength < best.Strength {
+			best = cand
+		}
+	}
+	return best
+}
+
 // Lookup resolves a cell by name, returning an error wrapping ErrUnknownCell
 // when the name is not in the library.
 func Lookup(name string) (*Cell, error) {

@@ -401,20 +401,81 @@ func (s *Server) admit(ctx context.Context) (release func(), status int) {
 	}
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+// decodeJob applies the checks every job request shares — POST only, no new
+// jobs while draining, a bounded body strictly decoded into req — and
+// answers a failed check itself. It reports whether the request survived.
+func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
+		return false
 	}
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"server draining"})
-		return
+		return false
 	}
-	var req VerifyRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// serveJob runs one job through admission: it sheds the job with 429 and a
+// Retry-After when the queue is full, holds a running slot and the drain
+// wait group while run executes under the job deadline, and accounts for
+// the outcome. On success done writes the response body; a client that went
+// away gets none, a missed deadline gets 504, and any other failure gets the
+// status run returned. what names the job kind in log lines.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, what string, timeoutMS int64,
+	run func(ctx context.Context) (status int, err error), done func(wall time.Duration)) {
+	release, status := s.admit(r.Context())
+	if release == nil {
+		if status == http.StatusTooManyRequests {
+			s.rejected.Add(1)
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+			writeJSON(w, status, errorResponse{"queue full, retry later"})
+		} else {
+			s.canceled.Add(1)
+		}
+		return
+	}
+	s.jobs.Add(1)
+	defer s.jobs.Done()
+	defer release()
+	s.accepted.Add(1)
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.jobTimeout(timeoutMS))
+	defer cancel()
+
+	start := time.Now()
+	errStatus, err := run(ctx)
+	wall := time.Since(start)
+
+	switch {
+	case err == nil:
+		s.completed.Add(1)
+		s.observeDuration(wall)
+		done(wall)
+	case r.Context().Err() != nil:
+		// Client disconnected (or the whole listener is shutting down):
+		// the job was canceled on their behalf; nobody reads the response.
+		s.canceled.Add(1)
+		s.opts.Logf("daemon: %s canceled by client after %v", what, wall.Round(time.Millisecond))
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		s.timedOut.Add(1)
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"job deadline exceeded: " + err.Error()})
+	default:
+		s.failed.Add(1)
+		s.opts.Logf("daemon: %s failed after %v: %v", what, wall.Round(time.Millisecond), err)
+		writeJSON(w, errStatus, errorResponse{err.Error()})
+	}
+}
+
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+	var req VerifyRequest
+	if !s.decodeJob(w, r, &req) {
 		return
 	}
 	if (req.DSP == nil) == (req.DEF == "") {
@@ -438,33 +499,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, status := s.admit(r.Context())
-	if release == nil {
-		if status == http.StatusTooManyRequests {
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, status, errorResponse{"queue full, retry later"})
-		} else {
-			s.canceled.Add(1)
-		}
-		return
-	}
-	s.jobs.Add(1)
-	defer s.jobs.Done()
-	defer release()
-	s.accepted.Add(1)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.jobTimeout(req.TimeoutMS))
-	defer cancel()
-
-	start := time.Now()
-	resp, art, errStatus, err := s.runJob(ctx, &req, cfg)
-	wall := time.Since(start)
-
-	switch {
-	case err == nil:
-		s.completed.Add(1)
-		s.observeDuration(wall)
+	var (
+		resp *VerifyResponse
+		art  *jobArtifacts
+	)
+	s.serveJob(w, r, "job", req.TimeoutMS, func(ctx context.Context) (status int, err error) {
+		resp, art, status, err = s.runJob(ctx, &req, cfg)
+		return status, err
+	}, func(wall time.Duration) {
 		resp.WallMS = float64(wall) / float64(time.Millisecond)
 		if resp.Unverified > 0 {
 			// Unverified clusters mark transient trouble (timeouts, faults,
@@ -477,19 +519,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		resp.JobID = s.storeReport(cacheKey, cfg, art, resp)
 		s.opts.Logf("daemon: job %s done in %v: %d violations, %d clusters", resp.JobID, wall.Round(time.Millisecond), resp.Violations, resp.Clusters)
 		writeJSON(w, http.StatusOK, resp)
-	case r.Context().Err() != nil:
-		// Client disconnected (or the whole listener is shutting down):
-		// the job was canceled on their behalf; nobody reads the response.
-		s.canceled.Add(1)
-		s.opts.Logf("daemon: job canceled by client after %v", wall.Round(time.Millisecond))
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.timedOut.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"job deadline exceeded: " + err.Error()})
-	default:
-		s.failed.Add(1)
-		s.opts.Logf("daemon: job failed after %v: %v", wall.Round(time.Millisecond), err)
-		writeJSON(w, errStatus, errorResponse{err.Error()})
-	}
+	})
 }
 
 // jobConfig builds the per-job engine config: base options, shared cache

@@ -265,11 +265,19 @@ func TestWarmColdRestartByteIdentity(t *testing.T) {
 }
 
 // TestOverloadSheds429 fills the single running slot and the single queue
-// slot with jobs gated on a channel, then checks the next request is shed
-// with 429 + Retry-After while the gated jobs complete normally once
-// released — and the daemon keeps serving afterwards.
+// slot with jobs gated on a channel, then checks the next requests on both
+// job endpoints are shed with 429 + Retry-After while the gated jobs
+// complete normally once released — and the daemon keeps serving afterwards.
 func TestOverloadSheds429(t *testing.T) {
 	faultinject.LeakCheck(t)
+	srv, ts := newTestServer(t, Options{MaxConcurrent: 1, MaxQueue: 1})
+	// A completed base job anchors the overflow reverify requests. It runs
+	// before the gate goes in, under a config the gated jobs do not share (a
+	// report-cache hit would bypass admission).
+	baseReq := tinyJob()
+	baseReq.CapRatioThreshold = 0.05
+	base := verifyOK(t, ts, baseReq)
+
 	gate := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
@@ -280,7 +288,6 @@ func TestOverloadSheds429(t *testing.T) {
 	})
 	defer restore()
 
-	srv, ts := newTestServer(t, Options{MaxConcurrent: 1, MaxQueue: 1})
 	type result struct {
 		status int
 		body   []byte
@@ -302,12 +309,39 @@ func TestOverloadSheds429(t *testing.T) {
 		}
 	}
 
-	resp, raw := postVerify(t, ts, tinyJob())
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow request: status %d body %s, want 429", resp.StatusCode, raw)
+	overflow := []struct {
+		name, path string
+		body       any
+	}{
+		{"verify", "/v1/verify", tinyJob()},
+		{"reverify", "/v1/reverify", &ReverifyRequest{
+			BaseJobID: base.JobID,
+			Repair:    &RepairDelta{Victim: firstVictim(t, base.ReportText), Fix: "upsize-driver"},
+		}},
+		// Finding the victim means parsing the base design, which happens
+		// only once the job is admitted: a full queue sheds it first.
+		{"reverify unknown victim", "/v1/reverify", &ReverifyRequest{
+			BaseJobID: base.JobID,
+			Repair:    &RepairDelta{Victim: "no/such/net", Fix: "upsize-driver"},
+		}},
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 without Retry-After header")
+	for _, ov := range overflow {
+		body, err := json.Marshal(ov.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+ov.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("overflow %s: status %d body %s, want 429", ov.name, resp.StatusCode, raw)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Errorf("overflow %s: 429 without Retry-After header", ov.name)
+		}
 	}
 
 	release()
@@ -318,8 +352,8 @@ func TestOverloadSheds429(t *testing.T) {
 		}
 	}
 	m := srv.Metrics()
-	if m.Jobs.RejectedQueue != 1 || m.Jobs.Completed != 2 {
-		t.Errorf("jobs = %+v, want 1 rejected, 2 completed", m.Jobs)
+	if m.Jobs.RejectedQueue != uint64(len(overflow)) || m.Jobs.Completed != 3 {
+		t.Errorf("jobs = %+v, want %d rejected, 3 completed (base + 2 gated)", m.Jobs, len(overflow))
 	}
 
 	// Shedding load must not wedge the daemon.
@@ -418,11 +452,12 @@ func TestInjectedFailuresDegradeToFallback(t *testing.T) {
 }
 
 // TestDrainRefusesNewJobs: draining must flip /healthz to 503 and refuse
-// new jobs while Drain returns once in-flight work is done.
+// new jobs on both job endpoints while Drain returns once in-flight work is
+// done.
 func TestDrainRefusesNewJobs(t *testing.T) {
 	faultinject.LeakCheck(t)
 	srv, ts := newTestServer(t, Options{})
-	verifyOK(t, ts, tinyJob())
+	base := verifyOK(t, ts, tinyJob())
 
 	srv.BeginDrain()
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -437,6 +472,13 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	if r2.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("verify while draining = %d body %s, want 503", r2.StatusCode, raw)
 	}
+	status, raw := postJSON(t, ts, "/v1/reverify", &ReverifyRequest{
+		BaseJobID: base.JobID,
+		Repair:    &RepairDelta{Victim: firstVictim(t, base.ReportText), Fix: "upsize-driver"},
+	})
+	if status != http.StatusServiceUnavailable {
+		t.Errorf("reverify while draining = %d body %s, want 503", status, raw)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -444,23 +486,35 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	}
 }
 
-// TestJobDeadlineExceeded gives a job a deadline far shorter than its
-// injected slowness: the daemon must answer 504 and stay healthy.
+// TestJobDeadlineExceeded gives a verify and a reverify job a deadline far
+// shorter than their injected slowness: the daemon must answer 504 to both
+// and stay healthy.
 func TestJobDeadlineExceeded(t *testing.T) {
 	faultinject.LeakCheck(t)
+	srv, ts := newTestServer(t, Options{Engine: xtverify.Config{Workers: 1}})
+	baseReq := tinyJob()
+	baseReq.CapRatioThreshold = 0.05 // not the report-cache key of the jobs below
+	base := verifyOK(t, ts, baseReq)
+
 	restore := faultinject.SetClusterHook(faultinject.SlowClusters(50 * time.Millisecond))
 	defer restore()
-
-	srv, ts := newTestServer(t, Options{Engine: xtverify.Config{Workers: 1}})
 	req := tinyJob()
 	req.TimeoutMS = 30
 	resp, raw := postVerify(t, ts, req)
 	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d body %s, want 504", resp.StatusCode, raw)
+		t.Fatalf("verify: status %d body %s, want 504", resp.StatusCode, raw)
 	}
-	waitFor(t, "timed-out job accounted", func() bool {
+	status, raw := postJSON(t, ts, "/v1/reverify", &ReverifyRequest{
+		BaseJobID: base.JobID,
+		Repair:    &RepairDelta{Victim: firstVictim(t, base.ReportText), Fix: "upsize-driver"},
+		TimeoutMS: 30,
+	})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("reverify: status %d body %s, want 504", status, raw)
+	}
+	waitFor(t, "timed-out jobs accounted", func() bool {
 		m := srv.Metrics()
-		return m.Jobs.TimedOut == 1 && m.Jobs.Running == 0
+		return m.Jobs.TimedOut == 2 && m.Jobs.Running == 0
 	})
 	restore()
 	verifyOK(t, ts, tinyJob())

@@ -20,11 +20,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -202,7 +200,10 @@ type ReverifyRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// RepairDelta names a repair for the daemon to apply to the base design.
+// RepairDelta names a repair for the daemon to apply to the base design. The
+// daemon re-cells the victim's first driver instance. On a tri-state bus
+// that instance may not be the strongest driver, which is the one the repair
+// advisor evaluated.
 type RepairDelta struct {
 	// Victim is the violating net whose driver is repaired.
 	Victim string `json:"victim"`
@@ -234,19 +235,8 @@ type ReverifyResponse struct {
 }
 
 func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"server draining"})
-		return
-	}
 	var req ReverifyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+	if !s.decodeJob(w, r, &req) {
 		return
 	}
 	if req.BaseJobID == "" {
@@ -272,6 +262,14 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"unknown base job " + req.BaseJobID + " (evicted or never completed); POST /v1/verify to run the design cold"})
 		return
 	}
+	if req.Repair != nil {
+		// Only the checks that need no design run before admission; the
+		// base design is parsed inside it.
+		if err := req.Repair.check(); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+			return
+		}
+	}
 	cfg := base.cfg
 	cfg.SharedROMCache = s.cache
 	cfg.ROMStore = s.opts.Store
@@ -281,53 +279,26 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 	// part of the canonical config, so clearing it cannot cause a mismatch.
 	cfg.StreamIngest = false
 
-	var defText string
-	var synthesized bool
-	if req.Repair != nil {
-		baseDEF, err := base.designDEF()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-			return
+	defText := req.DEF
+	var (
+		resp *ReverifyResponse
+		art  *jobArtifacts
+	)
+	s.serveJob(w, r, "reverify", req.TimeoutMS, func(ctx context.Context) (status int, err error) {
+		if req.Repair != nil {
+			baseDEF, err := base.designDEF()
+			if err != nil {
+				return http.StatusInternalServerError, err
+			}
+			if defText, err = ApplyRepair(baseDEF, req.Repair); err != nil {
+				return http.StatusBadRequest, err
+			}
 		}
-		defText, err = applyRepair(baseDEF, req.Repair)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-			return
-		}
-		synthesized = true
-	} else {
-		defText = req.DEF
-	}
-
-	release, status := s.admit(r.Context())
-	if release == nil {
-		if status == http.StatusTooManyRequests {
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, status, errorResponse{"queue full, retry later"})
-		} else {
-			s.canceled.Add(1)
-		}
-		return
-	}
-	s.jobs.Add(1)
-	defer s.jobs.Done()
-	defer release()
-	s.accepted.Add(1)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.jobTimeout(req.TimeoutMS))
-	defer cancel()
-
-	start := time.Now()
-	resp, art, errStatus, err := s.runReverify(ctx, base, defText, cfg)
-	wall := time.Since(start)
-
-	switch {
-	case err == nil:
-		s.completed.Add(1)
-		s.observeDuration(wall)
+		resp, art, status, err = s.runReverify(ctx, base, defText, cfg)
+		return status, err
+	}, func(wall time.Duration) {
 		resp.WallMS = float64(wall) / float64(time.Millisecond)
-		if synthesized {
+		if req.Repair != nil {
 			resp.DEF = defText
 		}
 		resp.JobID = s.storeReport("", cfg, art, &resp.VerifyResponse)
@@ -335,17 +306,7 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 			resp.JobID, req.BaseJobID, wall.Round(time.Millisecond),
 			resp.ClustersReused, resp.ClustersRecomputed, resp.Violations)
 		writeJSON(w, http.StatusOK, resp)
-	case r.Context().Err() != nil:
-		s.canceled.Add(1)
-		s.opts.Logf("daemon: reverify canceled by client after %v", wall.Round(time.Millisecond))
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.timedOut.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"job deadline exceeded: " + err.Error()})
-	default:
-		s.failed.Add(1)
-		s.opts.Logf("daemon: reverify failed after %v: %v", wall.Round(time.Millisecond), err)
-		writeJSON(w, errStatus, errorResponse{err.Error()})
-	}
+	})
 }
 
 // runReverify verifies the edited design, splicing against the base job's
@@ -400,16 +361,30 @@ func (s *Server) runReverify(ctx context.Context, base *cachedJob, defText strin
 	return resp, &jobArtifacts{verifier: v2, report: rep}, 0, nil
 }
 
-// applyRepair synthesizes the edited design for a repair delta: the victim's
-// driver instance is swapped to the requested (or next stronger same-kind)
-// cell and the design re-serialized, so the reverify parses exactly the DEF
-// a cold verify of the repaired design would.
-func applyRepair(defText string, rp *RepairDelta) (string, error) {
+// check rejects a delta whose fields alone make it inapplicable. It needs
+// no design, so the handler runs it before admission.
+func (rp *RepairDelta) check() error {
 	if rp.Victim == "" {
-		return "", fmt.Errorf("repair: victim is required")
+		return fmt.Errorf("repair: victim is required")
 	}
 	if rp.Fix != "upsize-driver" {
-		return "", fmt.Errorf("repair: unsupported fix %q (only upsize-driver is expressible as a DEF delta)", rp.Fix)
+		return fmt.Errorf("repair: unsupported fix %q (only upsize-driver is expressible as a DEF delta)", rp.Fix)
+	}
+	if rp.Cell != "" {
+		if _, ok := cells.ByName(rp.Cell); !ok {
+			return fmt.Errorf("repair: unknown cell %q", rp.Cell)
+		}
+	}
+	return nil
+}
+
+// ApplyRepair synthesizes the edited design for a repair delta: the victim's
+// first driver instance is swapped to the requested (or next stronger
+// same-kind) cell and the design re-serialized, so a reverify parses exactly
+// the DEF a cold verify of the repaired design would.
+func ApplyRepair(defText string, rp *RepairDelta) (string, error) {
+	if err := rp.check(); err != nil {
+		return "", err
 	}
 	d, err := deflite.Read(strings.NewReader(defText))
 	if err != nil {
@@ -425,14 +400,9 @@ func applyRepair(defText string, rp *RepairDelta) (string, error) {
 	drv := net.Drivers[0]
 	var repl *cells.Cell
 	if rp.Cell != "" {
-		repl, ok = cells.ByName(rp.Cell)
-		if !ok {
-			return "", fmt.Errorf("repair: unknown cell %q", rp.Cell)
-		}
-	} else {
-		if repl = strongerCell(drv.Cell); repl == nil {
-			return "", fmt.Errorf("repair: no stronger %s than %s in the library", drv.Cell.Kind, drv.Cell.Name)
-		}
+		repl, _ = cells.ByName(rp.Cell) // check found it
+	} else if repl = cells.NextStronger(drv.Cell); repl == nil {
+		return "", fmt.Errorf("repair: no stronger %s than %s in the library", drv.Cell.Kind, drv.Cell.Name)
 	}
 	// The instance is one cell: every pin of it, on every net, re-points
 	// together or the design would be self-inconsistent.
@@ -453,19 +423,4 @@ func applyRepair(defText string, rp *RepairDelta) (string, error) {
 		return "", fmt.Errorf("repair: serialize edited def: %w", err)
 	}
 	return sb.String(), nil
-}
-
-// strongerCell finds the same-kind cell with the smallest strength above the
-// given cell's, or nil — the repair advisor's upsize policy.
-func strongerCell(c *cells.Cell) *cells.Cell {
-	var best *cells.Cell
-	for _, cand := range cells.Library() {
-		if cand.Kind != c.Kind || cand.Strength <= c.Strength {
-			continue
-		}
-		if best == nil || cand.Strength < best.Strength {
-			best = cand
-		}
-	}
-	return best
 }

@@ -94,6 +94,23 @@ type Net struct {
 // IsBus reports whether the net has multiple (tri-state) drivers.
 func (n *Net) IsBus() bool { return len(n.Drivers) > 1 }
 
+// StrongestDriver returns the index in Drivers of the driver with the widest
+// output stage, the first of equals, or -1 for a net with no driver. It is
+// the paper's tri-state bus rule: the strongest of all bus drivers is the
+// one switching.
+func (n *Net) StrongestDriver() int {
+	if len(n.Drivers) == 0 {
+		return -1
+	}
+	best := 0
+	for i, p := range n.Drivers[1:] {
+		if p.Cell.Wn > n.Drivers[best].Cell.Wn {
+			best = i + 1
+		}
+	}
+	return best
+}
+
 // Length returns the total routed length in micrometers.
 func (n *Net) Length() float64 {
 	total := 0.0

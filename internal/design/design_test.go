@@ -147,3 +147,33 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 }
+
+// TestStrongestDriver pins the tri-state bus rule every analysis shares: the
+// widest output stage wins, the first of equals wins, and a net with no
+// driver answers -1.
+func TestStrongestDriver(t *testing.T) {
+	pin := func(cell string) Pin {
+		c, ok := cells.ByName(cell)
+		if !ok {
+			t.Fatalf("no cell %s", cell)
+		}
+		return Pin{Cell: c}
+	}
+	cases := []struct {
+		name    string
+		drivers []Pin
+		want    int
+	}{
+		{"no driver", nil, -1},
+		{"single", []Pin{pin("INV_X1")}, 0},
+		{"strongest first", []Pin{pin("INV_X4"), pin("INV_X1")}, 0},
+		{"strongest later", []Pin{pin("INV_X1"), pin("BUF_X2"), pin("INV_X4")}, 2},
+		{"first of equals", []Pin{pin("INV_X1"), pin("INV_X4"), pin("INV_X4")}, 1},
+	}
+	for _, tc := range cases {
+		n := &Net{Name: tc.name, Drivers: tc.drivers}
+		if got := n.StrongestDriver(); got != tc.want {
+			t.Errorf("%s: StrongestDriver() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

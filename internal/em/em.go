@@ -87,12 +87,7 @@ func AnalyzeNet(par *extract.Parasitics, netIdx int, opt Options) (*Result, erro
 	}
 	net := par.Design.Nets[netIdx]
 	rc := par.Nets[netIdx]
-	drv := net.Drivers[0]
-	for _, p := range net.Drivers[1:] {
-		if p.Cell.Wn > drv.Cell.Wn {
-			drv = p
-		}
-	}
+	drv := net.Drivers[net.StrongestDriver()]
 	res := &Result{Net: net.Name, DriverCell: drv.Cell.Name, Limits: opt.Limits}
 	res.WidthM = minWidth(net) * 1e-6
 

@@ -19,7 +19,6 @@ import (
 	"xtverify/internal/cellmodel"
 	"xtverify/internal/cells"
 	"xtverify/internal/circuit"
-	"xtverify/internal/design"
 	"xtverify/internal/devices"
 	"xtverify/internal/extract"
 	"xtverify/internal/mna"
@@ -170,67 +169,74 @@ type Engine struct {
 	// ws is the engine-private SyMPVL scratch arena, reused across every
 	// reduction this engine performs.
 	ws *sympvl.Workspace
-	// memo caches the most recent cluster's built circuit, port resolution
-	// and assembled MNA system, one slot per decoupling variant. The engine
-	// analyzes each cluster several times back to back (two glitch
-	// polarities, delay with and without coupling), and the delay sweep
-	// alternates coupled and decoupled — a single slot would thrash on
-	// exactly that access pattern.
+	// memo caches the most recent cluster's setup, one slot per decoupling
+	// variant. The engine analyzes each cluster several times back to back
+	// (two glitch polarities, delay with and without coupling), and the
+	// delay sweep alternates coupled and decoupled — a single slot would
+	// thrash on exactly that access pattern.
 	memo struct {
 		cl *prune.Cluster
-		sl [2]*clusterMemo // indexed by decoupled
-	}
-	// prep memoizes prepared transients (romsim.Prepared) for the current
-	// cluster, keyed by decoupling plus the conductance pattern of the
-	// terminations. A hit skips the reduction and the diagonalization
-	// entirely. The memo is only sound for circuits that match
-	// prune.BuildCircuit output — the pattern key cannot see circuit edits,
-	// so repair transforms bypass it.
-	prep struct {
-		cl      *prune.Cluster
-		entries map[string]*romsim.Prepared
+		sl [2]*clusterSetup // indexed by decoupled
 	}
 }
 
-// clusterMemo is one memoized (cluster, decoupling) build.
-type clusterMemo struct {
+// clusterSetup is what every scenario over one cluster shares: the built
+// circuit, its port resolution and its assembled MNA system. The circuit,
+// ports and system are immutable after construction, which is what lets the
+// engine memoize a setup across analyses.
+type clusterSetup struct {
 	ckt *circuit.Circuit
 	cp  *clusterPorts
 	sys *mna.System
+	// decoupled marks a system assembled with every coupling capacitor
+	// grounded (the delay baseline); the ROM cache keys it apart.
+	decoupled bool
+	// edited marks a circuit a repair transform changed after
+	// prune.BuildCircuit. Neither the fingerprint nor a pattern key can see
+	// such an edit, so an edited setup never reaches the ROM cache, the
+	// prepared memo or the PreparedStore.
+	edited bool
+	// prep memoizes prepared transients (romsim.Prepared) by the
+	// conductance pattern of their terminations. A hit skips the reduction
+	// and the diagonalization entirely.
+	prep map[string]*romsim.Prepared
 }
 
-// clusterSystem returns the built circuit, resolved ports and MNA system for
-// cl, reusing the memoized copies when the same cluster is re-analyzed under
-// the same decoupling. The memo is only valid because all three structures
-// are treated as immutable after construction; callers that edit the circuit
-// (repair transforms) must build their own copy and bypass the memo.
-func (e *Engine) clusterSystem(cl *prune.Cluster, decoupled bool) (*circuit.Circuit, *clusterPorts, *mna.System, error) {
+// setup returns the setup for cl under the given decoupling, reusing the
+// memoized one when the same cluster is re-analyzed. A non-nil transform
+// edits a private copy of the circuit (a repair candidate); that setup is
+// marked edited and kept out of the memo.
+func (e *Engine) setup(cl *prune.Cluster, decoupled bool, transform func(*circuit.Circuit) *circuit.Circuit) (*clusterSetup, error) {
 	slot := 0
 	if decoupled {
 		slot = 1
 	}
-	if e.memo.cl == cl {
-		if m := e.memo.sl[slot]; m != nil {
-			return m.ckt, m.cp, m.sys, nil
+	if transform == nil {
+		if e.memo.cl != cl {
+			e.memo.cl = cl
+			e.memo.sl = [2]*clusterSetup{}
+		} else if s := e.memo.sl[slot]; s != nil {
+			return s, nil
 		}
-	} else {
-		e.memo.cl = cl
-		e.memo.sl = [2]*clusterMemo{}
 	}
 	ckt, err := prune.BuildCircuit(e.Par, cl)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cp, err := resolvePorts(e.Par, cl, ckt)
-	if err != nil {
-		return nil, nil, nil, err
+	s := &clusterSetup{ckt: ckt, decoupled: decoupled}
+	if transform != nil {
+		s.ckt, s.edited = transform(ckt), true
 	}
-	sys, err := mna.FromCircuit(ckt, mna.Options{DecoupleAll: decoupled, Gmin: e.Opt.Gmin})
-	if err != nil {
-		return nil, nil, nil, err
+	if s.cp, err = resolvePorts(e.Par, cl, s.ckt); err != nil {
+		return nil, err
 	}
-	e.memo.sl[slot] = &clusterMemo{ckt: ckt, cp: cp, sys: sys}
-	return ckt, cp, sys, nil
+	if s.sys, err = mna.FromCircuit(s.ckt, mna.Options{DecoupleAll: decoupled, Gmin: e.Opt.Gmin}); err != nil {
+		return nil, err
+	}
+	if transform == nil {
+		e.memo.sl[slot] = s
+	}
+	return s, nil
 }
 
 // NewEngine constructs an engine.
@@ -242,22 +248,15 @@ func NewEngine(par *extract.Parasitics, opt Options) *Engine {
 	return &Engine{Par: par, Opt: opt, ws: &sympvl.Workspace{}}
 }
 
-// strongestPin returns the driver pin with the widest output stage —
-// the paper's tri-state bus rule ("strongest of all bus drivers is
-// switching").
-func strongestPin(pins []design.Pin) (int, design.Pin) {
-	best := 0
-	for i, p := range pins[1:] {
-		if p.Cell.Wn > pins[best].Cell.Wn {
-			best = i + 1
-		}
-	}
-	return best, pins[best]
+// strongestCell returns the cell of net's strongest driver — the one the
+// tri-state bus rule has switching.
+func (e *Engine) strongestCell(net int) *cells.Cell {
+	n := e.Par.Design.Nets[net]
+	return n.Drivers[n.StrongestDriver()].Cell
 }
 
 // clusterPorts resolves which circuit port drives/observes what.
 type clusterPorts struct {
-	ckt *circuit.Circuit
 	// victimDriver is the active victim driver port index.
 	victimDriver int
 	// idleDrivers are bus driver ports held tri-stated (open).
@@ -269,7 +268,7 @@ type clusterPorts struct {
 }
 
 func resolvePorts(p *extract.Parasitics, cl *prune.Cluster, ckt *circuit.Circuit) (*clusterPorts, error) {
-	cp := &clusterPorts{ckt: ckt, victimDriver: -1}
+	cp := &clusterPorts{victimDriver: -1}
 	d := p.Design
 	members := cl.MemberNets()
 	// Per member net, the port indices of its drivers in declaration order.
@@ -287,7 +286,7 @@ func resolvePorts(p *extract.Parasitics, cl *prune.Cluster, ckt *circuit.Circuit
 		if len(drvPorts[pos]) != len(pins) {
 			return nil, fmt.Errorf("glitch: net %s has %d driver ports for %d pins", d.Nets[m].Name, len(drvPorts[pos]), len(pins))
 		}
-		active, _ := strongestPin(pins)
+		active := d.Nets[m].StrongestDriver()
 		for k, pi := range drvPorts[pos] {
 			switch {
 			case k == active && pos == 0:
@@ -317,8 +316,7 @@ func (e *Engine) planAggressors(cl *prune.Cluster, glitchRising bool) []Aggresso
 	plans := make([]AggressorPlan, len(cl.Aggressors))
 	for i, a := range cl.Aggressors {
 		aNet := d.Nets[a.Net]
-		_, pin := strongestPin(aNet.Drivers)
-		plan := AggressorPlan{Net: a.Net, Cell: pin.Cell, Rising: glitchRising, SwitchAt: e.Opt.AlignTime}
+		plan := AggressorPlan{Net: a.Net, Cell: e.strongestCell(a.Net), Rising: glitchRising, SwitchAt: e.Opt.AlignTime}
 		if e.Opt.UseTimingWindows && vNet.Window.Valid && aNet.Window.Valid {
 			if !vNet.Window.Overlaps(aNet.Window) {
 				plan.Quiet = true
@@ -355,8 +353,8 @@ func (e *Engine) planAggressors(cl *prune.Cluster, glitchRising bool) []Aggresso
 
 // aggressorSource builds the driver-input stimulus for an aggressor plan:
 // the cell INPUT ramp that produces the desired OUTPUT transition.
-func (e *Engine) aggressorSource(plan AggressorPlan) (inRising bool, src waveform.Source) {
-	inRising = plan.Rising
+func (e *Engine) aggressorSource(plan AggressorPlan) waveform.Source {
+	inRising := plan.Rising
 	if plan.Cell.Polarity() < 0 {
 		inRising = !plan.Rising
 	}
@@ -368,7 +366,7 @@ func (e *Engine) aggressorSource(plan AggressorPlan) (inRising bool, src wavefor
 	if start < 0 {
 		start = 0
 	}
-	return inRising, waveform.Ramp(v0, v1, start, e.Opt.InputSlew)
+	return waveform.Ramp(v0, v1, start, e.Opt.InputSlew)
 }
 
 // driverTermination builds the romsim termination for a switching aggressor.
@@ -454,33 +452,26 @@ func (e *Engine) reducedOrder(p int) int {
 	return f * p
 }
 
-// reduceModel runs the SyMPVL reduction for sys, memoized through the ROM
-// cache when cacheable. cacheable must be false whenever the circuit no
-// longer matches what prune.BuildCircuit produced (repair-advisor transforms),
-// since the fingerprint is computed from ckt. Cache hits return the shared
-// canonical model rebound to this cluster's port names; the rebinding also
-// drops the model's lazy eigendecomposition cache so concurrent users never
-// race on it. The memoized values are bit-identical to a fresh reduction:
-// Reduce is deterministic in (G, C, B), and the fingerprint pins down exactly
-// those matrices plus the gmin/order/decoupling parameters that shaped them.
-func (e *Engine) reduceModel(ctx context.Context, sys *mna.System, ckt *circuit.Circuit,
-	order int, decoupled, cacheable bool) (*sympvl.Model, error) {
+// reduceModel runs the SyMPVL reduction for s, memoized through the ROM
+// cache unless s is edited (the fingerprint is computed from the circuit
+// prune.BuildCircuit produced, so it cannot see a repair transform's edits).
+// Cache hits return the shared canonical model rebound to this cluster's
+// port names; the rebinding also drops the model's lazy eigendecomposition
+// cache so concurrent users never race on it. The memoized values are
+// bit-identical to a fresh reduction: Reduce is deterministic in (G, C, B),
+// and the fingerprint pins down exactly those matrices plus the
+// gmin/order/decoupling parameters that shaped them.
+func (e *Engine) reduceModel(ctx context.Context, s *clusterSetup) (*sympvl.Model, error) {
 	reduce := func() (*sympvl.Model, error) {
-		return sympvl.Reduce(sys, sympvl.Options{Order: order, Check: ctx.Err, Workspace: e.ws, Trace: e.Opt.Trace})
+		return sympvl.Reduce(s.sys, sympvl.Options{Order: e.reducedOrder(s.sys.P), Check: ctx.Err, Workspace: e.ws, Trace: e.Opt.Trace})
 	}
-	if !cacheable || e.Opt.Cache == nil || e.Opt.DisableROMCache {
+	if s.edited || e.Opt.Cache == nil || e.Opt.DisableROMCache {
 		span := e.Opt.Trace.Start(obs.PhaseReduce)
 		m, err := reduce()
 		span.End()
 		return m, err
 	}
-	gmin := e.Opt.Gmin
-	if gmin == 0 {
-		gmin = mna.DefaultGmin
-	}
-	fpSpan := e.Opt.Trace.Start(obs.PhaseFingerprint)
-	key := prune.Fingerprint(ckt, gmin, order, decoupled)
-	fpSpan.End()
+	key := e.fingerprint(s)
 	// The reduce span includes the cache lookup: a hit shows up as a
 	// near-zero span, and Lanczos iterations are attributed (inside
 	// sympvl.Reduce) to the cluster that actually performed the reduction.
@@ -490,7 +481,20 @@ func (e *Engine) reduceModel(ctx context.Context, sys *mna.System, ckt *circuit.
 	if err != nil {
 		return nil, err
 	}
-	return m.WithPortNames(sys.PortNames), nil
+	return m.WithPortNames(s.sys.PortNames), nil
+}
+
+// fingerprint is the structural key of s's reduced model: the circuit plus
+// the gmin, order and decoupling that shape its MNA system.
+func (e *Engine) fingerprint(s *clusterSetup) string {
+	gmin := e.Opt.Gmin
+	if gmin == 0 {
+		gmin = mna.DefaultGmin
+	}
+	span := e.Opt.Trace.Start(obs.PhaseFingerprint)
+	key := prune.Fingerprint(s.ckt, gmin, e.reducedOrder(s.sys.P), s.decoupled)
+	span.End()
+	return key
 }
 
 // loadEstimate approximates the total load a net's driver sees (wire +
@@ -509,7 +513,11 @@ func (e *Engine) AnalyzeGlitch(cl *prune.Cluster, glitchRising bool) (*Result, e
 // deadlines: the reduction and transient loops poll ctx and abort promptly
 // with its error when it is done.
 func (e *Engine) AnalyzeGlitchContext(ctx context.Context, cl *prune.Cluster, glitchRising bool) (*Result, error) {
-	return e.analyzeGlitchCustom(ctx, cl, glitchRising, nil, nil)
+	res, _, err := e.analyzeGlitch(ctx, cl, nil, []glitchScenario{{glitchRising: glitchRising}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // AnalyzeGlitchPair predicts both glitch polarities on the cluster's victim
@@ -528,23 +536,11 @@ func (e *Engine) AnalyzeGlitchPair(cl *prune.Cluster) (rising, falling *Result, 
 // AnalyzeGlitchContext once per polarity; on failure the first failing
 // polarity's error is returned, rising first, matching the sequential order.
 func (e *Engine) AnalyzeGlitchPairContext(ctx context.Context, cl *prune.Cluster) (rising, falling *Result, err error) {
-	if e.Opt.DirectMNA || e.Opt.DisablePrepared {
-		if rising, err = e.analyzeGlitchCustom(ctx, cl, true, nil, nil); err != nil {
-			return nil, nil, err
-		}
-		if falling, err = e.analyzeGlitchCustom(ctx, cl, false, nil, nil); err != nil {
-			return nil, nil, err
-		}
-		return rising, falling, nil
-	}
-	results, _, err := e.analyzeGlitchSet(ctx, cl, []glitchScenario{
-		{glitchRising: true},
-		{glitchRising: false},
-	})
+	res, _, err := e.analyzeGlitch(ctx, cl, nil, []glitchScenario{{glitchRising: true}, {glitchRising: false}})
 	if err != nil {
 		return nil, nil, err
 	}
-	return results[0], results[1], nil
+	return res[0], res[1], nil
 }
 
 // glitchScenario describes one glitch run against a shared cluster setup.
@@ -555,50 +551,54 @@ type glitchScenario struct {
 	victimCell *cells.Cell
 }
 
+// glitchHold is the victim's holding state and quiet level for a glitch
+// polarity: rising glitches disturb a victim held low.
+func glitchHold(glitchRising bool) (hold cells.HoldState, baseline float64) {
+	if glitchRising {
+		return cells.HoldLow, 0
+	}
+	return cells.HoldHigh, Vdd
+}
+
 // glitchTerms builds the stimulus plan and port terminations for one glitch
 // scenario: the victim held at the rail opposite the glitch polarity, the
 // aggressors switching per the alignment/correlation policies, and the idle
 // bus drivers tri-stated (open terminations, the zero value).
-func (e *Engine) glitchTerms(cl *prune.Cluster, ckt *circuit.Circuit, cp *clusterPorts,
-	glitchRising bool, victimCell *cells.Cell) (terms []romsim.Termination, plans []AggressorPlan, baseline float64, err error) {
-	plans = e.planAggressors(cl, glitchRising)
-	hold := cells.HoldLow
-	if !glitchRising {
-		hold = cells.HoldHigh
-		baseline = Vdd
+func (e *Engine) glitchTerms(cl *prune.Cluster, s *clusterSetup, sp glitchScenario) (terms []romsim.Termination, plans []AggressorPlan, err error) {
+	plans = e.planAggressors(cl, sp.glitchRising)
+	hold, _ := glitchHold(sp.glitchRising)
+	terms = make([]romsim.Termination, len(s.ckt.Ports))
+	vCell := sp.victimCell
+	if vCell == nil {
+		vCell = e.strongestCell(cl.Victim)
 	}
-	terms = make([]romsim.Termination, len(ckt.Ports))
-	_, vPin := strongestPin(e.Par.Design.Nets[cl.Victim].Drivers)
-	vCell := vPin.Cell
-	if victimCell != nil {
-		vCell = victimCell
+	if terms[s.cp.victimDriver], err = e.holdTermination(vCell, hold); err != nil {
+		return nil, nil, err
 	}
-	if terms[cp.victimDriver], err = e.holdTermination(vCell, hold); err != nil {
-		return nil, nil, 0, err
-	}
-	for i, pi := range cp.aggDrivers {
+	for i, pi := range s.cp.aggDrivers {
 		if terms[pi], err = e.driverTermination(plans[i], e.loadEstimate(plans[i].Net)); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
-	return terms, plans, baseline, nil
+	return terms, plans, nil
 }
 
 // glitchResult assembles the analysis Result from a finished transient.
-func (e *Engine) glitchResult(cl *prune.Cluster, cp *clusterPorts, plans []AggressorPlan,
-	order, nodes int, baseline float64, simRes *romsim.Result) *Result {
+func (e *Engine) glitchResult(cl *prune.Cluster, s *clusterSetup, glitchRising bool, plans []AggressorPlan,
+	order int, simRes *romsim.Result) *Result {
+	_, baseline := glitchHold(glitchRising)
 	res := &Result{
 		VictimName:   e.Par.Design.Nets[cl.Victim].Name,
 		Aggressors:   plans,
 		ReducedOrder: order,
-		ClusterNodes: nodes,
+		ClusterNodes: s.sys.N,
 	}
 	for _, p := range plans {
 		if !p.Quiet {
 			res.ActiveAggressors++
 		}
 	}
-	for _, pi := range cp.receivers {
+	for _, pi := range s.cp.receivers {
 		pk := simRes.Ports[pi].PeakDeviation(baseline)
 		if pk.Abs > math.Abs(res.PeakV) {
 			res.PeakV = pk.Value
@@ -607,9 +607,42 @@ func (e *Engine) glitchResult(cl *prune.Cluster, cp *clusterPorts, plans []Aggre
 		}
 	}
 	if res.ReceiverWave == nil {
-		res.ReceiverWave = simRes.Ports[cp.receivers[0]]
+		res.ReceiverWave = simRes.Ports[s.cp.receivers[0]]
 	}
 	return res
+}
+
+// analyzeGlitch runs the glitch scenarios specs against cl's coupled setup,
+// with the circuit edited by transform when it is non-nil (the repair
+// advisor's respace and shield candidates). Results are indexed like specs.
+// On failure it returns the first error in spec order together with the
+// index of the spec that produced it, so callers can apply per-candidate
+// error wrapping.
+func (e *Engine) analyzeGlitch(ctx context.Context, cl *prune.Cluster,
+	transform func(*circuit.Circuit) *circuit.Circuit, specs []glitchScenario) ([]*Result, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	s, err := e.setup(cl, false, transform)
+	if err != nil {
+		return nil, 0, err
+	}
+	terms := make([][]romsim.Termination, len(specs))
+	plans := make([][]AggressorPlan, len(specs))
+	for i, sp := range specs {
+		if terms[i], plans[i], err = e.glitchTerms(cl, s, sp); err != nil {
+			return nil, i, err
+		}
+	}
+	simRes, order, failed, err := e.simulate(ctx, s, terms)
+	if err != nil {
+		return nil, failed, err
+	}
+	out := make([]*Result, len(specs))
+	for i, sp := range specs {
+		out[i] = e.glitchResult(cl, s, sp.glitchRising, plans[i], order, simRes[i])
+	}
+	return out, -1, nil
 }
 
 // PreparedBacking is the optional persistent level under the prepared-
@@ -621,56 +654,136 @@ type PreparedBacking interface {
 	SavePrepared(key string, c *romsim.PreparedCore)
 }
 
-// preparedFor returns the memoized Prepared for (cl, decoupled, pattern of
-// terms), building the reduced model and the factorization on a miss via the
-// reduce callback. A hit skips both the reduction and the diagonalization.
-// When a PreparedStore is configured, misses consult it before reducing —
-// keyed by the cluster fingerprint, the stepping parameters and the
-// termination pattern, so a warm process skips the diagonalization across
-// restarts too — and freshly prepared cores are written through. Callers
-// whose circuit no longer matches prune.BuildCircuit output (repair
-// transforms) must not use the memo: neither the pattern key nor the
+// simulate runs one transient per termination list in scens against the
+// setup s. It is the only code that decides how a transient runs:
+//
+//   - DirectMNA integrates the unreduced system (the fallback ladder's last
+//     rung);
+//   - DisablePrepared, and any edited setup, run the one-shot reference:
+//     scenario by scenario, one reduction (through the ROM cache unless
+//     edited) and one romsim.Simulate each, stopping at the first failure;
+//   - otherwise scenarios are grouped by conductance pattern in first-seen
+//     order, and each group runs against one memoized Prepared — Run for a
+//     group of one, one RunBatch multi-RHS sweep otherwise.
+//
+// Every path returns bit-identical results. Results are indexed like scens
+// and order is the dimension the transients ran in. On failure it returns
+// the first error in scenario order with that scenario's index.
+func (e *Engine) simulate(ctx context.Context, s *clusterSetup, scens [][]romsim.Termination) (res []*romsim.Result, order, failed int, err error) {
+	res = make([]*romsim.Result, len(scens))
+	check := ctx.Err
+	opt := romsim.Options{TEnd: e.Opt.TEnd, Dt: e.Opt.Dt, Check: check, Trace: e.Opt.Trace}
+	switch {
+	case e.Opt.DirectMNA:
+		for i, terms := range scens {
+			if res[i], err = romsim.SimulateDirect(s.sys, terms, opt); err != nil {
+				return nil, 0, i, err
+			}
+		}
+		return res, s.sys.N, -1, nil
+	case e.Opt.DisablePrepared || s.edited:
+		for i, terms := range scens {
+			model, err := e.reduceModel(ctx, s)
+			if err != nil {
+				return nil, 0, i, err
+			}
+			if res[i], err = romsim.Simulate(model, terms, opt); err != nil {
+				return nil, 0, i, err
+			}
+			order = model.Order
+		}
+		return res, order, -1, nil
+	}
+	// Group scenarios by conductance pattern in first-seen order, keeping
+	// scenario order inside each group, and sweep each group through one
+	// Prepared. Distinct patterns (e.g. library-model polarities with
+	// different drive G) still share the reduction through the ROM cache;
+	// only the cheap fold re-runs. A lone scenario needs no pattern map.
+	groups, pats := [][]int{{0}}, []string{romsim.PatternKey(scens[0])}
+	if len(scens) > 1 {
+		at := map[string]int{pats[0]: 0}
+		for i := 1; i < len(scens); i++ {
+			pat := romsim.PatternKey(scens[i])
+			g, ok := at[pat]
+			if !ok {
+				g = len(groups)
+				at[pat] = g
+				groups, pats = append(groups, nil), append(pats, pat)
+			}
+			groups[g] = append(groups[g], i)
+		}
+	}
+	failed = -1
+	fail := func(i int, ierr error) {
+		if ierr != nil && (failed == -1 || i < failed) {
+			failed, err = i, ierr
+		}
+	}
+	for g, idxs := range groups {
+		p, perr := e.preparedFor(ctx, s, scens[idxs[0]], pats[g])
+		if perr != nil {
+			// Every later group starts after idxs[0], so no later failure
+			// can come first in scenario order.
+			fail(idxs[0], perr)
+			break
+		}
+		order = p.Order()
+		if len(idxs) == 1 {
+			var rerr error
+			res[idxs[0]], rerr = p.Run(romsim.Scenario{Terms: scens[idxs[0]], Check: check, Trace: e.Opt.Trace})
+			fail(idxs[0], rerr)
+			continue
+		}
+		batch := make([]romsim.Scenario, len(idxs))
+		for k, i := range idxs {
+			batch[k] = romsim.Scenario{Terms: scens[i], Check: check, Trace: e.Opt.Trace}
+		}
+		rs, errs := p.RunBatch(batch)
+		for k, i := range idxs {
+			res[i] = rs[k]
+			fail(i, errs[k])
+		}
+	}
+	if failed >= 0 {
+		return nil, 0, failed, err
+	}
+	return res, order, -1, nil
+}
+
+// preparedFor returns the memoized Prepared for s and the conductance
+// pattern key of terms, building the reduced model and the factorization on
+// a miss. A hit skips both the reduction and the diagonalization. When a
+// PreparedStore is configured, misses consult it before reducing — keyed by
+// the cluster fingerprint, the stepping parameters and the termination
+// pattern, so a warm process skips the diagonalization across restarts too
+// — and freshly prepared cores are written through. Only simulate calls it,
+// and never for an edited setup: neither the pattern key nor the
 // fingerprint-based store key can see circuit edits.
-func (e *Engine) preparedFor(cl *prune.Cluster, decoupled bool, terms []romsim.Termination,
-	ckt *circuit.Circuit, sys *mna.System,
-	reduce func() (*sympvl.Model, error)) (*romsim.Prepared, error) {
-	pat := romsim.PatternKey(terms)
-	key := pat
-	if decoupled {
-		key = "D|" + key
-	}
-	if e.prep.cl != cl {
-		e.prep.cl = cl
-		e.prep.entries = make(map[string]*romsim.Prepared, 4)
-	}
-	if p, ok := e.prep.entries[key]; ok {
+func (e *Engine) preparedFor(ctx context.Context, s *clusterSetup, terms []romsim.Termination, pat string) (*romsim.Prepared, error) {
+	if p, ok := s.prep[pat]; ok {
 		e.Opt.Trace.Add(obs.CtrPreparedReuses, 1)
 		return p, nil
 	}
+	if s.prep == nil {
+		s.prep = make(map[string]*romsim.Prepared, 4)
+	}
 	var storeKey string
 	if e.Opt.PreparedStore != nil && !e.Opt.DisableROMCache {
-		gmin := e.Opt.Gmin
-		if gmin == 0 {
-			gmin = mna.DefaultGmin
-		}
-		fpSpan := e.Opt.Trace.Start(obs.PhaseFingerprint)
-		fp := prune.Fingerprint(ckt, gmin, e.reducedOrder(sys.P), decoupled)
-		fpSpan.End()
 		// The fingerprint already encodes gmin/order/decoupling; the suffix
 		// pins the stepping grid and the termination conductance pattern
 		// (romsim's tol/maxNewton defaults are constants covered by the
 		// store's format version).
-		storeKey = fp + "|prep|" + strconv.FormatUint(math.Float64bits(e.Opt.TEnd), 16) + "." +
+		storeKey = e.fingerprint(s) + "|prep|" + strconv.FormatUint(math.Float64bits(e.Opt.TEnd), 16) + "." +
 			strconv.FormatUint(math.Float64bits(e.Opt.Dt), 16) + "|" + pat
 		if core, ok := e.Opt.PreparedStore.LoadPrepared(storeKey); ok {
 			if p, err := romsim.PreparedFromCore(core); err == nil {
 				e.Opt.Trace.Add(obs.CtrPreparedStoreHits, 1)
-				e.prep.entries[key] = p
+				s.prep[pat] = p
 				return p, nil
 			}
 		}
 	}
-	model, err := reduce()
+	model, err := e.reduceModel(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -681,162 +794,8 @@ func (e *Engine) preparedFor(cl *prune.Cluster, decoupled bool, terms []romsim.T
 	if storeKey != "" {
 		e.Opt.PreparedStore.SavePrepared(storeKey, p.Core())
 	}
-	e.prep.entries[key] = p
+	s.prep[pat] = p
 	return p, nil
-}
-
-// analyzeGlitchSet runs several glitch scenarios against one shared cluster
-// reduction, sweeping scenarios whose terminations share a conductance
-// pattern through one Prepared.RunBatch multi-RHS call. Results are indexed
-// like specs. On failure it returns the first error in spec order together
-// with the index of the spec that produced it (so callers can apply
-// per-candidate error wrapping). Callers gate on DirectMNA/DisablePrepared;
-// this path always uses the prepared layer.
-func (e *Engine) analyzeGlitchSet(ctx context.Context, cl *prune.Cluster, specs []glitchScenario) ([]*Result, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	ckt, cp, sys, err := e.clusterSystem(cl, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	type scenarioTerms struct {
-		terms    []romsim.Termination
-		plans    []AggressorPlan
-		baseline float64
-	}
-	built := make([]scenarioTerms, len(specs))
-	for i, sp := range specs {
-		terms, plans, baseline, err := e.glitchTerms(cl, ckt, cp, sp.glitchRising, sp.victimCell)
-		if err != nil {
-			return nil, i, err
-		}
-		built[i] = scenarioTerms{terms, plans, baseline}
-	}
-	reduce := func() (*sympvl.Model, error) {
-		return e.reduceModel(ctx, sys, ckt, e.reducedOrder(sys.P), false, true)
-	}
-
-	// Group scenarios by conductance pattern, preserving spec order inside
-	// each group, and sweep each group through one Prepared. Distinct
-	// patterns (e.g. library-model polarities with different drive G) still
-	// share the reduction through the ROM cache; only the cheap fold
-	// re-runs.
-	groups := make(map[string][]int, len(specs))
-	var keys []string
-	for i := range specs {
-		key := romsim.PatternKey(built[i].terms)
-		if _, ok := groups[key]; !ok {
-			keys = append(keys, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	simResults := make([]*romsim.Result, len(specs))
-	orders := make([]int, len(specs))
-	errIdx, firstErr := -1, error(nil)
-	for _, key := range keys {
-		idxs := groups[key]
-		p, err := e.preparedFor(cl, false, built[idxs[0]].terms, ckt, sys, reduce)
-		if err != nil {
-			return nil, idxs[0], err
-		}
-		scens := make([]romsim.Scenario, len(idxs))
-		for g, i := range idxs {
-			scens[g] = romsim.Scenario{Terms: built[i].terms, Check: ctx.Err, Trace: e.Opt.Trace}
-		}
-		var rs []*romsim.Result
-		var es []error
-		if len(scens) == 1 {
-			r0, e0 := p.Run(scens[0])
-			rs, es = []*romsim.Result{r0}, []error{e0}
-		} else {
-			rs, es = p.RunBatch(scens)
-		}
-		for g, i := range idxs {
-			simResults[i] = rs[g]
-			orders[i] = p.Order()
-			if es[g] != nil && (errIdx == -1 || i < errIdx) {
-				errIdx, firstErr = i, es[g]
-			}
-		}
-	}
-	if errIdx >= 0 {
-		return nil, errIdx, firstErr
-	}
-	out := make([]*Result, len(specs))
-	for i := range specs {
-		out[i] = e.glitchResult(cl, cp, built[i].plans, orders[i], sys.N, built[i].baseline, simResults[i])
-	}
-	return out, -1, nil
-}
-
-// analyzeGlitchCustom is AnalyzeGlitch with two hooks used by the repair
-// advisor: transform edits the cluster circuit before reduction (e.g.
-// shield insertion), and victimCell overrides the victim's holding cell
-// (e.g. driver upsizing).
-func (e *Engine) analyzeGlitchCustom(ctx context.Context, cl *prune.Cluster, glitchRising bool,
-	transform func(*circuit.Circuit) *circuit.Circuit, victimCell *cells.Cell) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var (
-		ckt *circuit.Circuit
-		cp  *clusterPorts
-		sys *mna.System
-		err error
-	)
-	if transform != nil {
-		// The transform may edit the circuit in place; build a private copy
-		// and keep it out of the memo.
-		ckt, err = prune.BuildCircuit(e.Par, cl)
-		if err != nil {
-			return nil, err
-		}
-		ckt = transform(ckt)
-		if cp, err = resolvePorts(e.Par, cl, ckt); err != nil {
-			return nil, err
-		}
-		if sys, err = mna.FromCircuit(ckt, mna.Options{Gmin: e.Opt.Gmin}); err != nil {
-			return nil, err
-		}
-	} else if ckt, cp, sys, err = e.clusterSystem(cl, false); err != nil {
-		return nil, err
-	}
-	terms, plans, baseline, err := e.glitchTerms(cl, ckt, cp, glitchRising, victimCell)
-	if err != nil {
-		return nil, err
-	}
-	reduce := func() (*sympvl.Model, error) {
-		// Repair-advisor hooks edit the circuit or the terminations in ways
-		// the fingerprint cannot see; bypass the cache for those runs.
-		cacheable := transform == nil && victimCell == nil
-		return e.reduceModel(ctx, sys, ckt, e.reducedOrder(sys.P), false, cacheable)
-	}
-	simOpt := romsim.Options{TEnd: e.Opt.TEnd, Dt: e.Opt.Dt, Check: ctx.Err, Trace: e.Opt.Trace}
-	var simRes *romsim.Result
-	order := sys.N // direct integration uses the full state
-	switch {
-	case e.Opt.DirectMNA:
-		simRes, err = romsim.SimulateDirect(sys, terms, simOpt)
-	case transform != nil || e.Opt.DisablePrepared:
-		var model *sympvl.Model
-		if model, err = reduce(); err != nil {
-			return nil, err
-		}
-		order = model.Order
-		simRes, err = romsim.Simulate(model, terms, simOpt)
-	default:
-		var p *romsim.Prepared
-		if p, err = e.preparedFor(cl, false, terms, ckt, sys, reduce); err != nil {
-			return nil, err
-		}
-		order = p.Order()
-		simRes, err = p.Run(romsim.Scenario{Terms: terms, Check: ctx.Err, Trace: e.Opt.Trace})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.glitchResult(cl, cp, plans, order, sys.N, baseline, simRes), nil
 }
 
 // DelayResult reports coupled-delay analysis (the paper's Table 2 view).
@@ -859,31 +818,26 @@ func (e *Engine) AnalyzeDelay(cl *prune.Cluster, victimRising, withCoupling bool
 }
 
 // AnalyzeDelayContext is AnalyzeDelay honoring context cancellation and
-// deadlines: both the reduction and the transient poll ctx. (The transient
-// polls through the per-step Check hook, which the historical delay path
-// left unset, so per-cluster deadlines did not cover delay analysis.)
+// deadlines: both the reduction and the transient poll ctx.
 func (e *Engine) AnalyzeDelayContext(ctx context.Context, cl *prune.Cluster, victimRising, withCoupling bool) (*DelayResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ckt, cp, sys, err := e.clusterSystem(cl, !withCoupling)
+	// The decoupled baseline zeroes coupling capacitors during assembly, so
+	// the same circuit yields a different C; the setup's decoupled flag keys
+	// the ROM cache apart.
+	s, err := e.setup(cl, !withCoupling, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The decoupled baseline zeroes coupling capacitors during assembly, so
-	// the same circuit yields a different C; the flag keys the cache apart.
-	reduce := func() (*sympvl.Model, error) {
-		return e.reduceModel(ctx, sys, ckt, e.reducedOrder(sys.P), !withCoupling, true)
-	}
 	// Victim switches; aggressors switch opposite (worst case for delay).
 	plans := e.planAggressors(cl, !victimRising)
-	terms := make([]romsim.Termination, len(ckt.Ports))
-	_, vPin := strongestPin(e.Par.Design.Nets[cl.Victim].Drivers)
-	vPlan := AggressorPlan{Net: cl.Victim, Cell: vPin.Cell, Rising: victimRising, SwitchAt: e.Opt.AlignTime}
-	if terms[cp.victimDriver], err = e.driverTermination(vPlan, e.loadEstimate(cl.Victim)); err != nil {
+	terms := make([]romsim.Termination, len(s.ckt.Ports))
+	vPlan := AggressorPlan{Net: cl.Victim, Cell: e.strongestCell(cl.Victim), Rising: victimRising, SwitchAt: e.Opt.AlignTime}
+	if terms[s.cp.victimDriver], err = e.driverTermination(vPlan, e.loadEstimate(cl.Victim)); err != nil {
 		return nil, err
 	}
-	for i, pi := range cp.aggDrivers {
+	for i, pi := range s.cp.aggDrivers {
 		if !withCoupling {
 			// Decoupled baseline: aggressors electrically irrelevant; hold.
 			if terms[pi], err = e.holdTermination(plans[i].Cell, cells.HoldLow); err != nil {
@@ -895,26 +849,11 @@ func (e *Engine) AnalyzeDelayContext(ctx context.Context, cl *prune.Cluster, vic
 			return nil, err
 		}
 	}
-	var simRes *romsim.Result
-	if e.Opt.DisablePrepared {
-		model, rerr := reduce()
-		if rerr != nil {
-			return nil, rerr
-		}
-		simOpt := romsim.Options{TEnd: e.Opt.TEnd, Dt: e.Opt.Dt, Check: ctx.Err, Trace: e.Opt.Trace}
-		if simRes, err = romsim.Simulate(model, terms, simOpt); err != nil {
-			return nil, err
-		}
-	} else {
-		p, perr := e.preparedFor(cl, !withCoupling, terms, ckt, sys, reduce)
-		if perr != nil {
-			return nil, perr
-		}
-		if simRes, err = p.Run(romsim.Scenario{Terms: terms, Check: ctx.Err, Trace: e.Opt.Trace}); err != nil {
-			return nil, err
-		}
+	simRes, _, _, err := e.simulate(ctx, s, [][]romsim.Termination{terms})
+	if err != nil {
+		return nil, err
 	}
-	return e.delayResult(cl, cp, simRes, victimRising, withCoupling)
+	return e.delayResult(cl, s.cp, simRes[0], victimRising, withCoupling)
 }
 
 // delayResult extracts the worst receiver delay and slew from a finished

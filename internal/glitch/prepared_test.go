@@ -3,6 +3,7 @@ package glitch
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"xtverify/internal/obs"
@@ -124,6 +125,62 @@ func TestAdviseRepairsMatchesSeedPath(t *testing.T) {
 	for i := range want.Options {
 		if got.Options[i] != want.Options[i] {
 			t.Errorf("option %d: prepared %+v != seed %+v", i, got.Options[i], want.Options[i])
+		}
+	}
+}
+
+// TestGlitchPairMatchesSinglePolarities pins one contract of the scenario
+// executor on every path it chooses: under each driver model, on the
+// prepared, the one-shot and the DirectMNA path, AnalyzeGlitchPair must
+// return exactly what two AnalyzeGlitch calls return — peak, peak time,
+// order and every receiver sample, bit for bit.
+func TestGlitchPairMatchesSinglePolarities(t *testing.T) {
+	p, cl := linesSetup(t, 3, 1000, "INV_X2")
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, model := range []struct {
+		name string
+		kind ModelKind
+	}{{"fixed", ModelFixedR}, {"library", ModelTimingLibrary}, {"nonlinear", ModelNonlinear}} {
+		for _, path := range []struct {
+			name string
+			opt  Options
+		}{
+			{"prepared", Options{}},
+			{"one-shot", Options{DisablePrepared: true}},
+			{"direct", Options{DirectMNA: true}},
+		} {
+			t.Run(model.name+"/"+path.name, func(t *testing.T) {
+				opt := path.opt
+				opt.Model = model.kind
+				rise, fall, err := NewEngine(p, opt).AnalyzeGlitchPair(cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single := NewEngine(p, opt)
+				for _, got := range []struct {
+					rising bool
+					res    *Result
+				}{{true, rise}, {false, fall}} {
+					want, err := single.AnalyzeGlitch(cl, got.rising)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, w := got.res, want
+					if !same(g.PeakV, w.PeakV) || !same(g.PeakTime, w.PeakTime) || g.ReducedOrder != w.ReducedOrder {
+						t.Errorf("rising=%v: pair (%g @ %g, order %d) != single (%g @ %g, order %d)", got.rising,
+							g.PeakV, g.PeakTime, g.ReducedOrder, w.PeakV, w.PeakTime, w.ReducedOrder)
+					}
+					if len(g.ReceiverWave.T) != len(w.ReceiverWave.T) {
+						t.Fatalf("rising=%v: wave has %d samples, want %d", got.rising, len(g.ReceiverWave.T), len(w.ReceiverWave.T))
+					}
+					for i := range w.ReceiverWave.T {
+						if !same(g.ReceiverWave.T[i], w.ReceiverWave.T[i]) || !same(g.ReceiverWave.V[i], w.ReceiverWave.V[i]) {
+							t.Fatalf("rising=%v: wave sample %d differs: (%g, %g) != (%g, %g)", got.rising, i,
+								g.ReceiverWave.T[i], g.ReceiverWave.V[i], w.ReceiverWave.T[i], w.ReceiverWave.V[i])
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -84,40 +84,25 @@ func (e *Engine) AdviseRepairs(cl *prune.Cluster, glitchRising bool, thresholdV 
 }
 
 // AdviseRepairsContext is AdviseRepairs honoring context cancellation and
-// deadlines in the base analysis and every candidate run (the historical
-// entry point hardcoded context.Background(), so repairs ignored engine
-// timeouts). When the prepared-transient layer is enabled, the base analysis
-// and the driver-upsize candidate — which share the cluster circuit and its
-// reduction — advance as one batched multi-RHS sweep; the circuit-editing
-// candidates (respace, shield) change the model and run one-shot.
+// deadlines in the base analysis and every candidate run. The base analysis
+// and the driver-upsize candidate share the cluster circuit and its
+// reduction, so on the prepared path they advance as one batched multi-RHS
+// sweep; the circuit-editing candidates (respace, shield) change the model
+// and run one-shot.
 func (e *Engine) AdviseRepairsContext(ctx context.Context, cl *prune.Cluster, glitchRising bool, thresholdV float64) (*RepairAdvice, error) {
-	_, vPin := strongestPin(e.Par.Design.Nets[cl.Victim].Drivers)
-	stronger := nextStronger(vPin.Cell)
-
-	var base, upsized *Result
-	if stronger != nil && !e.Opt.DirectMNA && !e.Opt.DisablePrepared {
-		results, idx, err := e.analyzeGlitchSet(ctx, cl, []glitchScenario{
-			{glitchRising: glitchRising},
-			{glitchRising: glitchRising, victimCell: stronger},
-		})
-		if err != nil {
-			if idx == 1 {
-				return nil, fmt.Errorf("glitch: repair upsize: %w", err)
-			}
-			return nil, err
-		}
-		base, upsized = results[0], results[1]
-	} else {
-		var err error
-		if base, err = e.analyzeGlitchCustom(ctx, cl, glitchRising, nil, nil); err != nil {
-			return nil, err
-		}
-		if stronger != nil {
-			if upsized, err = e.analyzeGlitchCustom(ctx, cl, glitchRising, nil, stronger); err != nil {
-				return nil, fmt.Errorf("glitch: repair upsize: %w", err)
-			}
-		}
+	stronger := cells.NextStronger(e.strongestCell(cl.Victim))
+	specs := []glitchScenario{{glitchRising: glitchRising}}
+	if stronger != nil {
+		specs = append(specs, glitchScenario{glitchRising: glitchRising, victimCell: stronger})
 	}
+	results, idx, err := e.analyzeGlitch(ctx, cl, nil, specs)
+	if err != nil {
+		if idx == 1 {
+			return nil, fmt.Errorf("glitch: repair upsize: %w", err)
+		}
+		return nil, err
+	}
+	base := results[0]
 	advice := &RepairAdvice{
 		Victim:        base.VictimName,
 		OriginalPeakV: base.PeakV,
@@ -126,8 +111,8 @@ func (e *Engine) AdviseRepairsContext(ctx context.Context, cl *prune.Cluster, gl
 	victimName := e.Par.Design.Nets[cl.Victim].Name
 
 	// Candidate 1: upsize the victim's holding driver.
-	if upsized != nil {
-		advice.Options = append(advice.Options, option(FixUpsizeDriver, stronger.Name, upsized.PeakV, thresholdV))
+	if stronger != nil {
+		advice.Options = append(advice.Options, option(FixUpsizeDriver, stronger.Name, results[1].PeakV, thresholdV))
 	} else {
 		advice.Options = append(advice.Options, RepairOption{Fix: FixUpsizeDriver, Detail: "no stronger cell", Feasible: false})
 	}
@@ -143,11 +128,11 @@ func (e *Engine) AdviseRepairsContext(ctx context.Context, cl *prune.Cluster, gl
 		}
 		return out
 	}
-	res, err := e.analyzeGlitchCustom(ctx, cl, glitchRising, respace, nil)
+	res, _, err := e.analyzeGlitch(ctx, cl, respace, specs[:1])
 	if err != nil {
 		return nil, fmt.Errorf("glitch: repair respace: %w", err)
 	}
-	advice.Options = append(advice.Options, option(FixDoubleSpacing, "2x pitch", res.PeakV, thresholdV))
+	advice.Options = append(advice.Options, option(FixDoubleSpacing, "2x pitch", res[0].PeakV, thresholdV))
 
 	// Candidate 3: shield insertion — victim couplings become ground caps.
 	shield := func(ckt *circuit.Circuit) *circuit.Circuit {
@@ -155,11 +140,11 @@ func (e *Engine) AdviseRepairsContext(ctx context.Context, cl *prune.Cluster, gl
 			return !touchesNet(ckt, c, victimName)
 		})
 	}
-	res, err = e.analyzeGlitchCustom(ctx, cl, glitchRising, shield, nil)
+	res, _, err = e.analyzeGlitch(ctx, cl, shield, specs[:1])
 	if err != nil {
 		return nil, fmt.Errorf("glitch: repair shield: %w", err)
 	}
-	advice.Options = append(advice.Options, option(FixShieldVictim, "grounded shield", res.PeakV, thresholdV))
+	advice.Options = append(advice.Options, option(FixShieldVictim, "grounded shield", res[0].PeakV, thresholdV))
 
 	sort.SliceStable(advice.Options, func(i, j int) bool {
 		oi, oj := advice.Options[i], advice.Options[j]
@@ -197,19 +182,4 @@ func touchesNet(ckt *circuit.Circuit, c circuit.Capacitor, net string) bool {
 		return true
 	}
 	return false
-}
-
-// nextStronger finds the same-kind cell with the smallest strength above
-// the given cell's, or nil.
-func nextStronger(c *cells.Cell) *cells.Cell {
-	var best *cells.Cell
-	for _, cand := range cells.Library() {
-		if cand.Kind != c.Kind || cand.Strength <= c.Strength {
-			continue
-		}
-		if best == nil || cand.Strength < best.Strength {
-			best = cand
-		}
-	}
-	return best
 }

@@ -34,14 +34,11 @@ type SPICEResult struct {
 // same linear drive and the difference isolates the model-order-reduction
 // error).
 func (e *Engine) SPICEGlitch(cl *prune.Cluster, glitchRising, transistorLevel bool) (*SPICEResult, error) {
-	ckt, err := prune.BuildCircuit(e.Par, cl)
+	s, err := e.setup(cl, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := resolvePorts(e.Par, cl, ckt)
-	if err != nil {
-		return nil, err
-	}
+	ckt, cp := s.ckt, s.cp
 	net := spice.NewNetlist(ckt.Name + "_spice")
 	nodeOf := make([]spice.Node, ckt.NumNodes())
 	for i := range nodeOf {
@@ -61,38 +58,18 @@ func (e *Engine) SPICEGlitch(cl *prune.Cluster, glitchRising, transistorLevel bo
 		}
 		net.AddC(a, b, c.Farads)
 	}
+	portNode := func(pi int) spice.Node { return nodeOf[ckt.Ports[pi].Node] }
 
-	plans := e.planAggressors(cl, glitchRising)
-	hold := cells.HoldLow
-	baseline := 0.0
-	if !glitchRising {
-		hold = cells.HoldHigh
-		baseline = Vdd
-	}
-	var vddNode spice.Node
+	hold, baseline := glitchHold(glitchRising)
 	if transistorLevel {
-		vddNode = net.Node("vdd!")
+		vddNode := net.Node("vdd!")
 		net.Drive(vddNode, waveform.Const(Vdd))
-	}
-	_, vPin := strongestPin(e.Par.Design.Nets[cl.Victim].Drivers)
-	vNode := nodeOf[ckt.Ports[cp.victimDriver].Node]
-	if transistorLevel {
-		if err := vPin.Cell.BuildHolding(net, "xvictim", vNode, vddNode, hold); err != nil {
+		if err := e.strongestCell(cl.Victim).BuildHolding(net, "xvictim", portNode(cp.victimDriver), vddNode, hold); err != nil {
 			return nil, err
 		}
-	} else {
-		term, err := e.holdTermination(vPin.Cell, hold)
-		if err != nil {
-			return nil, err
-		}
-		if err := attachBehavioral(net, vNode, term); err != nil {
-			return nil, err
-		}
-	}
-	for i, pi := range cp.aggDrivers {
-		plan := plans[i]
-		aNode := nodeOf[ckt.Ports[pi].Node]
-		if transistorLevel {
+		plans := e.planAggressors(cl, glitchRising)
+		for i, pi := range cp.aggDrivers {
+			plan, aNode := plans[i], portNode(pi)
 			prefix := fmt.Sprintf("xagg%d", i)
 			if plan.Quiet {
 				if err := plan.Cell.BuildHolding(net, prefix, aNode, vddNode, cells.HoldLow); err != nil {
@@ -100,19 +77,20 @@ func (e *Engine) SPICEGlitch(cl *prune.Cluster, glitchRising, transistorLevel bo
 				}
 				continue
 			}
-			inRising, src := e.aggressorSource(plan)
-			_ = inRising
 			in := net.Node(prefix + ".in")
-			net.Drive(in, src)
+			net.Drive(in, e.aggressorSource(plan))
 			if _, err := plan.Cell.BuildDriver(net, prefix, in, aNode, vddNode); err != nil {
 				return nil, err
 			}
-		} else {
-			term, err := e.driverTermination(plan, e.loadEstimate(plan.Net))
-			if err != nil {
-				return nil, err
-			}
-			if err := attachBehavioral(net, aNode, term); err != nil {
+		}
+	} else {
+		// The reduced-order flow's own terminations, victim first.
+		terms, _, err := e.glitchTerms(cl, s, glitchScenario{glitchRising: glitchRising})
+		if err != nil {
+			return nil, err
+		}
+		for _, pi := range append([]int{cp.victimDriver}, cp.aggDrivers...) {
+			if err := attachBehavioral(net, portNode(pi), terms[pi]); err != nil {
 				return nil, err
 			}
 		}

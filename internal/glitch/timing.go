@@ -37,16 +37,7 @@ func (e *Engine) TimingImpactReport(clusters []*prune.Cluster, rising bool) ([]T
 // TimingImpactReportContext is TimingImpactReport honoring context
 // cancellation and deadlines in every per-cluster delay analysis.
 func (e *Engine) TimingImpactReportContext(ctx context.Context, clusters []*prune.Cluster, rising bool) ([]TimingImpact, error) {
-	out := make([]TimingImpact, 0, len(clusters))
-	for _, cl := range clusters {
-		ti, err := e.timingImpact(ctx, cl, rising)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ti)
-	}
-	sortImpacts(out)
-	return out, nil
+	return e.timingImpacts(ctx, clusters, rising)
 }
 
 // TimingImpactWorstEdge measures each cluster's coupling delay deterioration
@@ -56,10 +47,17 @@ func (e *Engine) TimingImpactReportContext(ctx context.Context, clusters []*prun
 // (the two edges share a conductance pattern under ModelFixedR and for
 // symmetric library cells). Sorted like TimingImpactReport.
 func (e *Engine) TimingImpactWorstEdge(ctx context.Context, clusters []*prune.Cluster) ([]TimingImpact, error) {
+	return e.timingImpacts(ctx, clusters, true, false)
+}
+
+// timingImpacts measures every cluster on each of the given victim edges,
+// keeps each cluster's worst (the first edge wins ties), and sorts the
+// result by delay change.
+func (e *Engine) timingImpacts(ctx context.Context, clusters []*prune.Cluster, edges ...bool) ([]TimingImpact, error) {
 	out := make([]TimingImpact, 0, len(clusters))
 	for _, cl := range clusters {
 		var worst TimingImpact
-		for i, rising := range []bool{true, false} {
+		for i, rising := range edges {
 			ti, err := e.timingImpact(ctx, cl, rising)
 			if err != nil {
 				return nil, err

@@ -66,71 +66,3 @@ func FuzzReadSPEF(f *testing.F) {
 		}
 	})
 }
-
-// FuzzStreamParse throws arbitrary byte streams at the streaming parser and
-// holds it to the equivalence contract with Parse: identical accept/reject
-// decisions with identical error text, and on success a streamed net
-// sequence exactly matching the materialized file — i.e. no net is ever
-// retained in the parser (leaked) or delivered twice. Seeds mirror
-// FuzzReadSPEF's corpus so both parsers explore the same grammar space.
-func FuzzStreamParse(f *testing.F) {
-	d, err := dsp.ParallelWires(3, 300, 1.2, []string{"INV_X2"}, "INV_X1")
-	if err != nil {
-		f.Fatal(err)
-	}
-	p, err := extract.Extract(d, extract.Tech025())
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, p); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	for _, seed := range []string{
-		"",
-		"*SPEF \"IEEE 1481-1998\"\n*DESIGN \"x\"\n",
-		"*C_UNIT 1 FF\n*R_UNIT 1 OHM\n",
-		"*C_UNIT 1 XX\n",
-		"*NAME_MAP\n*1 netA\n*2\n",
-		"*D_NET n1 1.5\n*CONN\n*I u1:A I *N n1:0\n*END\n",
-		"*D_NET n1 1.5\n*CAP\n1 n1:0 2.0\n2 n1:0 n2:1 0.5\n*END\n",
-		"*D_NET n1 1.5\n*RES\n1 n1:0 n1:1 12.5\n*END\n",
-		"*D_NET n1 nan\n",
-		"*D_NET n1 1e309\n",
-		"*CAP\n1 n1:0 2.0\n",
-		"*D_NET n1 1.5\n*CAP\n1 n1: 2.0\n*END\n",
-		"*D_NET n1 1.5\n*RES\n1 : : x\n*END\n",
-		"*I u1:A I *N n1:0\n",
-		"stray data\n",
-		"*D_NET *7 1.0\n*END\n*NAME_MAP\n*7 mapped\n",
-		"*D_NET a 1.0\n*END\n*D_NET b 2.0\n*D_NET c 3.0\n*END\n",
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		file, perr := Parse(strings.NewReader(string(data)))
-		sink := &recordingSink{}
-		serr := StreamParse(strings.NewReader(string(data)), sink)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("accept/reject disagreement: Parse=%v StreamParse=%v", perr, serr)
-		}
-		if perr != nil {
-			//xtlint:errcmp the fuzz contract is identical error rendering across both parse paths
-			if perr.Error() != serr.Error() {
-				t.Fatalf("error text differs: Parse=%q StreamParse=%q", perr, serr)
-			}
-			return
-		}
-		if len(sink.nets) != len(file.Nets) {
-			t.Fatalf("streamed %d nets, materialized %d — a net leaked or duplicated", len(sink.nets), len(file.Nets))
-		}
-		for i, sn := range sink.nets {
-			mn := file.Nets[i]
-			if sn.Name != mn.Name || len(sn.Caps) != len(mn.Caps) ||
-				len(sn.Ress) != len(mn.Ress) || len(sn.Pins) != len(mn.Pins) {
-				t.Fatalf("net %d drifted: streamed %+v vs materialized %+v", i, sn, mn)
-			}
-		}
-	})
-}

@@ -183,9 +183,8 @@ func (f *File) Write(w io.Writer) error {
 }
 
 // ParseError reports malformed SPEF input with the 1-based line it was
-// detected on. Parse and StreamParse return it for every grammar failure;
-// errors from the underlying reader or from a streaming sink are returned
-// as-is, not wrapped.
+// detected on. Parse returns it for every grammar failure; errors from the
+// underlying reader are returned as-is, not wrapped.
 type ParseError struct {
 	// Line is the 1-based input line the malformation was detected on.
 	Line int
@@ -212,41 +211,12 @@ func (e *ParseError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// Sink consumes a streamed SPEF parse in file order.
-type Sink interface {
-	// StartDesign is called when the *DESIGN line is read.
-	StartDesign(name string) error
-	// MapName is called for each *NAME_MAP entry, key before expansion
-	// (e.g. "*7", "w0").
-	MapName(key, full string) error
-	// AddNet is called the moment a *D_NET section closes — at its *END,
-	// at the next *D_NET, or at EOF. The net's own Name is resolved through
-	// the map entries seen so far (matching Parse, which resolves names at
-	// the *D_NET line); coupling references (Cap.OtherNet) are delivered
-	// RAW because the name map may not be complete yet — resolve them
-	// against the MapName stream, which is total only at EOF.
-	AddNet(n *Net) error
-}
-
-// unitState carries the file-level unit multipliers, updated in place as
-// declarations are read so Parse can expose the final values on File.
-type unitState struct {
-	capF float64
-	resO float64
-}
-
-// StreamParse reads SPEF incrementally, handing each *D_NET section to sink
-// as soon as it closes instead of materializing the whole file — memory is
-// O(largest single net section). Malformed input returns a *ParseError
-// carrying the offending line; a sink error aborts the parse and is
-// returned unwrapped.
-func StreamParse(r io.Reader, sink Sink) error {
-	u := unitState{capF: 1e-15, resO: 1}
-	return streamCore(r, &u, sink)
-}
-
-// streamCore is the single parse loop behind Parse and StreamParse.
-func streamCore(r io.Reader, u *unitState, sink Sink) error {
+// Parse reads a SPEF file. Malformed input returns a *ParseError carrying
+// the offending line. A net's own name is resolved through the name map
+// entries read before its *D_NET line; coupling references are resolved
+// through the complete *NAME_MAP at EOF.
+func Parse(r io.Reader) (*File, error) {
+	f := &File{CapUnitF: 1e-15, ResUnitO: 1, byName: make(map[string]*Net)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var cur *Net
@@ -259,13 +229,14 @@ func streamCore(r io.Reader, u *unitState, sink Sink) error {
 		}
 		return s
 	}
-	flush := func() error {
-		if cur == nil {
-			return nil
+	// flush files the open *D_NET section, which closes at its *END, at the
+	// next *D_NET or at EOF.
+	flush := func() {
+		if cur != nil {
+			f.Nets = append(f.Nets, cur)
+			f.byName[cur.Name] = cur
+			cur = nil
 		}
-		n := cur
-		cur = nil
-		return sink.AddNet(n)
 	}
 	for sc.Scan() {
 		lineNo++
@@ -278,35 +249,32 @@ func streamCore(r io.Reader, u *unitState, sink Sink) error {
 		case strings.HasPrefix(line, "*SPEF"):
 			// ignore
 		case strings.HasPrefix(line, "*DESIGN"):
-			name := strings.Trim(strings.TrimSpace(strings.TrimPrefix(line, "*DESIGN")), "\"")
-			if err := sink.StartDesign(name); err != nil {
-				return err
-			}
+			f.Design = strings.Trim(strings.TrimSpace(strings.TrimPrefix(line, "*DESIGN")), "\"")
 		case strings.HasPrefix(line, "*C_UNIT"):
 			mult, unit, err := parseUnit(fields)
 			if err != nil {
-				return &ParseError{Line: lineNo, Err: err}
+				return nil, &ParseError{Line: lineNo, Err: err}
 			}
 			switch unit {
 			case "FF":
-				u.capF = mult * 1e-15
+				f.CapUnitF = mult * 1e-15
 			case "PF":
-				u.capF = mult * 1e-12
+				f.CapUnitF = mult * 1e-12
 			default:
-				return &ParseError{Line: lineNo, Msg: fmt.Sprintf("unsupported cap unit %q", unit)}
+				return nil, &ParseError{Line: lineNo, Msg: fmt.Sprintf("unsupported cap unit %q", unit)}
 			}
 		case strings.HasPrefix(line, "*R_UNIT"):
 			mult, unit, err := parseUnit(fields)
 			if err != nil {
-				return &ParseError{Line: lineNo, Err: err}
+				return nil, &ParseError{Line: lineNo, Err: err}
 			}
 			switch unit {
 			case "OHM":
-				u.resO = mult
+				f.ResUnitO = mult
 			case "KOHM":
-				u.resO = mult * 1e3
+				f.ResUnitO = mult * 1e3
 			default:
-				return &ParseError{Line: lineNo, Msg: fmt.Sprintf("unsupported res unit %q", unit)}
+				return nil, &ParseError{Line: lineNo, Msg: fmt.Sprintf("unsupported res unit %q", unit)}
 			}
 		case strings.HasPrefix(line, "*T_UNIT"), strings.HasPrefix(line, "*L_UNIT"):
 			// accepted, unused
@@ -314,106 +282,67 @@ func streamCore(r io.Reader, u *unitState, sink Sink) error {
 			section = "*NAME_MAP"
 		case section == "*NAME_MAP" && strings.HasPrefix(line, "*") && !strings.HasPrefix(line, "*D_NET"):
 			if len(fields) != 2 {
-				return &ParseError{Line: lineNo, Msg: "malformed name map entry"}
+				return nil, &ParseError{Line: lineNo, Msg: "malformed name map entry"}
 			}
 			nameMap[fields[0]] = fields[1]
-			if err := sink.MapName(fields[0], fields[1]); err != nil {
-				return err
-			}
 		case strings.HasPrefix(line, "*D_NET"):
 			if len(fields) != 3 {
-				return &ParseError{Line: lineNo, Msg: "malformed *D_NET"}
+				return nil, &ParseError{Line: lineNo, Msg: "malformed *D_NET"}
 			}
 			tc, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return &ParseError{Line: lineNo, Msg: "bad total cap", Err: err}
+				return nil, &ParseError{Line: lineNo, Msg: "bad total cap", Err: err}
 			}
-			if err := flush(); err != nil {
-				return err
-			}
-			cur = &Net{Name: resolve(fields[1]), TotalCapF: tc * u.capF}
+			flush()
+			cur = &Net{Name: resolve(fields[1]), TotalCapF: tc * f.CapUnitF}
 			section = ""
 		case line == "*CONN" || line == "*CAP" || line == "*RES":
 			if cur == nil {
-				return &ParseError{Line: lineNo, Msg: "section outside *D_NET"}
+				return nil, &ParseError{Line: lineNo, Msg: "section outside *D_NET"}
 			}
 			section = line
 		case line == "*END":
 			section = ""
-			if err := flush(); err != nil {
-				return err
-			}
+			flush()
 		case strings.HasPrefix(line, "*I "):
 			if cur == nil || section != "*CONN" {
-				return &ParseError{Line: lineNo, Msg: "*I outside *CONN"}
+				return nil, &ParseError{Line: lineNo, Msg: "*I outside *CONN"}
 			}
 			// *I inst:pin DIR *N net:node
 			if len(fields) < 5 || fields[3] != "*N" {
-				return &ParseError{Line: lineNo, Msg: "malformed *I"}
+				return nil, &ParseError{Line: lineNo, Msg: "malformed *I"}
 			}
 			_, node, err := splitNode(fields[4])
 			if err != nil {
-				return &ParseError{Line: lineNo, Err: err}
+				return nil, &ParseError{Line: lineNo, Err: err}
 			}
 			cur.Pins = append(cur.Pins, Pin{Name: fields[1], Dir: fields[2], Node: node})
 		default:
 			if cur == nil {
-				return &ParseError{Line: lineNo, Msg: fmt.Sprintf("unexpected %q", line)}
+				return nil, &ParseError{Line: lineNo, Msg: fmt.Sprintf("unexpected %q", line)}
 			}
 			switch section {
 			case "*CAP":
-				if err := parseCap(cur, fields, u.capF); err != nil {
-					return &ParseError{Line: lineNo, Err: err}
+				if err := parseCap(cur, fields, f.CapUnitF); err != nil {
+					return nil, &ParseError{Line: lineNo, Err: err}
 				}
 			case "*RES":
-				if err := parseRes(cur, fields, u.resO); err != nil {
-					return &ParseError{Line: lineNo, Err: err}
+				if err := parseRes(cur, fields, f.ResUnitO); err != nil {
+					return nil, &ParseError{Line: lineNo, Err: err}
 				}
 			default:
-				return &ParseError{Line: lineNo, Msg: "data outside section"}
+				return nil, &ParseError{Line: lineNo, Msg: "data outside section"}
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
-	}
-	return flush()
-}
-
-// materializeSink rebuilds the legacy whole-file view from the stream.
-type materializeSink struct {
-	f       *File
-	nameMap map[string]string
-}
-
-func (m *materializeSink) StartDesign(name string) error { m.f.Design = name; return nil }
-
-func (m *materializeSink) MapName(key, full string) error {
-	m.nameMap[key] = full
-	return nil
-}
-
-func (m *materializeSink) AddNet(n *Net) error {
-	m.f.Nets = append(m.f.Nets, n)
-	m.f.byName[n.Name] = n
-	return nil
-}
-
-// Parse reads a SPEF file. It is the materializing front of StreamParse:
-// the streamed nets are collected into a File and coupling references are
-// resolved through the complete *NAME_MAP at EOF.
-func Parse(r io.Reader) (*File, error) {
-	f := &File{CapUnitF: 1e-15, ResUnitO: 1, byName: make(map[string]*Net)}
-	ms := &materializeSink{f: f, nameMap: map[string]string{}}
-	u := unitState{capF: 1e-15, resO: 1}
-	if err := streamCore(r, &u, ms); err != nil {
 		return nil, err
 	}
-	f.CapUnitF, f.ResUnitO = u.capF, u.resO
+	flush()
 	// Resolve mapped names in coupling references.
 	for _, n := range f.Nets {
 		for i := range n.Caps {
-			if full, ok := ms.nameMap[n.Caps[i].OtherNet]; n.Caps[i].OtherNet != "" && ok {
+			if full, ok := nameMap[n.Caps[i].OtherNet]; n.Caps[i].OtherNet != "" && ok {
 				n.Caps[i].OtherNet = full
 			}
 		}

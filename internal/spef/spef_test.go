@@ -2,7 +2,9 @@ package spef
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,6 +170,115 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: error not reported", name)
 		}
+	}
+}
+
+// TestParseMalformedMidFile pins the typed error contract: a record that
+// goes bad after valid ones surfaces a *ParseError naming the exact input
+// line, its message and, where there is one, its cause.
+func TestParseMalformedMidFile(t *testing.T) {
+	// All inputs but the name-map one share a valid first net on lines 1-4.
+	const goodNet = "*D_NET n1 1.5\n*CAP\n1 n1:0 2.0\n*END\n"
+	cases := []struct {
+		name     string
+		src      string
+		wantLine int
+		wantMsg  string // substring of Error()
+		wrapped  bool   // Err (the cause) must be non-nil
+	}{
+		{
+			name:     "cap entry arity",
+			src:      goodNet + "*D_NET n2 1.0\n*CAP\n1 n2:0\n*END\n",
+			wantLine: 7,
+			wantMsg:  "malformed *CAP entry",
+			wrapped:  true,
+		},
+		{
+			name:     "res node missing colon",
+			src:      goodNet + "*D_NET n2 1.0\n*RES\n1 n2:0 nocolon 5\n*END\n",
+			wantLine: 7,
+			wantMsg:  `node "nocolon" missing ':'`,
+			wrapped:  true,
+		},
+		{
+			name:     "non-numeric cap value",
+			src:      goodNet + "*D_NET n2 1.0\n*CAP\n1 n2:0 tiny\n*END\n",
+			wantLine: 7,
+			wantMsg:  "invalid syntax",
+			wrapped:  true,
+		},
+		{
+			name:     "bad total cap",
+			src:      goodNet + "*D_NET n2 huge\n",
+			wantLine: 5,
+			wantMsg:  "bad total cap",
+			wrapped:  true,
+		},
+		{
+			name:     "malformed D_NET arity",
+			src:      goodNet + "*D_NET onlyname\n",
+			wantLine: 5,
+			wantMsg:  "malformed *D_NET",
+		},
+		{
+			name:     "conn entry outside CONN",
+			src:      goodNet + "*D_NET n2 1.0\n*CAP\n*I u1:A I *N n2:0\n*END\n",
+			wantLine: 7,
+			wantMsg:  "*I outside *CONN",
+		},
+		{
+			name:     "malformed conn entry",
+			src:      goodNet + "*D_NET n2 1.0\n*CONN\n*I u1:A I n2:0\n*END\n",
+			wantLine: 7,
+			wantMsg:  "malformed *I",
+		},
+		{
+			name:     "data outside any section",
+			src:      goodNet + "*D_NET n2 1.0\n1 n2:0 2.0\n*END\n",
+			wantLine: 6,
+			wantMsg:  "data outside section",
+		},
+		{
+			name:     "stray data after END",
+			src:      goodNet + "1 n1:0 2.0\n",
+			wantLine: 5,
+			wantMsg:  `unexpected "1 n1:0 2.0"`,
+		},
+		{
+			name:     "unsupported unit between nets",
+			src:      goodNet + "*C_UNIT 1 PARSEC\n",
+			wantLine: 5,
+			wantMsg:  `unsupported cap unit "PARSEC"`,
+		},
+		{
+			name:     "malformed name map entry",
+			src:      "*NAME_MAP\n*1 w0\n*2\n",
+			wantLine: 3,
+			wantMsg:  "malformed name map entry",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(tc.src))
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Parse = %v, want *ParseError", err)
+			}
+			if pe.Line != tc.wantLine {
+				t.Errorf("error line = %d, want %d (%v)", pe.Line, tc.wantLine, pe)
+			}
+			//xtlint:errcmp parser test asserting the rendered line prefix
+			if !strings.Contains(pe.Error(), "spef: line "+strconv.Itoa(tc.wantLine)+": ") {
+				t.Errorf("error %q lacks the line prefix", pe.Error())
+			}
+			//xtlint:errcmp parser test asserting the diagnostic message content
+			if !strings.Contains(pe.Error(), tc.wantMsg) {
+				t.Errorf("error %q lacks %q", pe.Error(), tc.wantMsg)
+			}
+			if tc.wrapped && pe.Unwrap() == nil {
+				t.Errorf("error %v carries no cause", pe)
+			}
+		})
 	}
 }
 

@@ -167,7 +167,7 @@ func gateDelay(net *design.Net, rc *extract.NetRC, inSlew float64, opt Options) 
 	load := rc.TotalCapF()
 	// Use the cheaper closed-form drive resistance (characterization-free)
 	// for STA; the detailed models are reserved for cluster analysis.
-	drv := strongestDriver(net)
+	drv := net.Drivers[net.StrongestDriver()].Cell
 	r := cells.EstimateDriveResistance(drv, true)
 	if rf := cells.EstimateDriveResistance(drv, false); rf > r {
 		r = rf // pessimistic edge
@@ -180,16 +180,6 @@ func gateDelay(net *design.Net, rc *extract.NetRC, inSlew float64, opt Options) 
 		outSlew = opt.DefaultSlew / 2
 	}
 	return delay, outSlew
-}
-
-func strongestDriver(net *design.Net) *cells.Cell {
-	best := net.Drivers[0].Cell
-	for _, p := range net.Drivers[1:] {
-		if p.Cell.Wn > best.Wn {
-			best = p.Cell
-		}
-	}
-	return best
 }
 
 // elmoreWorst returns a worst-receiver Elmore wire delay approximation:
