@@ -543,7 +543,7 @@ func BenchmarkSTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sta.Annotate(d, par, sta.DefaultOptions()); err != nil {
+		if err := sta.Annotate(d, par); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,12 +61,12 @@ func main() {
 			RungRetryBackoff:    *backoff,
 			DisableScreening:    *noScreen,
 			ScreenSafetyFactor:  *screenSF,
+			ROMCacheCap:         *cacheCap,
 		},
 		MaxConcurrent:     *maxConc,
 		MaxQueue:          *maxQueue,
 		DefaultJobTimeout: *jobTO,
 		MaxJobTimeout:     *maxJobTO,
-		ROMCacheCap:       *cacheCap,
 		Logf:              log.Printf,
 	}
 	if *cacheDir != "" {
@@ -75,7 +75,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		opts.Store = store
+		opts.Engine.ROMStore = store
 		log.Printf("xtverifyd: persistent ROM cache at %s", *cacheDir)
 	}
 	srv := daemon.New(opts)

@@ -235,7 +235,6 @@ func (v *Verifier) baseGlitchOptions() glitch.Options {
 	return glitch.Options{
 		Model:               v.cfg.Model.kind(),
 		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
 		UseTimingWindows:    v.cfg.UseTimingWindows,
 		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
 		DisableROMCache:     v.cfg.reference.noROMCache,
@@ -681,7 +680,7 @@ func (v *Verifier) screenCluster(u clusterUnit, victim string, tr *obs.Trace) (b
 	}
 	tr.Add(obs.CtrScreenBoundEvals, 1)
 	b, err := analytic.BoundCluster(u.par, u.cl, analytic.BoundOptions{
-		Model:     v.cfg.Model.boundModel(),
+		Model:     v.cfg.Model.kind(),
 		FixedOhms: v.cfg.FixedOhms,
 		Vdd:       Vdd,
 	})
@@ -728,14 +727,7 @@ func (v *Verifier) attemptCluster(ctx context.Context, stage FallbackStage, base
 	switch stage {
 	case StageRegularized:
 		opts.Gmin = regularizedGmin
-		if opts.Order > 0 {
-			opts.Order = opts.Order / 2
-			if opts.Order < 2 {
-				opts.Order = 2
-			}
-		} else {
-			opts.OrderFactor = 3 // half the default 6·ports
-		}
+		opts.OrderFactor = 3 // half the default 6·ports
 	case StageDirectMNA:
 		opts.DirectMNA = true
 	}

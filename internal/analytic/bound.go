@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"xtverify/internal/cells"
+	"xtverify/internal/devices"
 	"xtverify/internal/extract"
 	"xtverify/internal/prune"
 )
@@ -33,24 +34,19 @@ import (
 // through to detailed analysis rather than trust a bogus number.
 var ErrCannotScreen = errors.New("analytic: cannot screen cluster")
 
-// DriverModel mirrors the engine's driver-model families. The analytic
-// package sits below the glitch engine in the dependency order, so it keeps
-// its own enum instead of importing one.
-type DriverModel int
+// DriverModel is cells.DriverModel, the enum the glitch engine attaches its
+// driver models by, so the screen bounds exactly the model the detailed flow
+// would use.
+type DriverModel = cells.DriverModel
 
-// Driver model families, matching the engine's semantics.
+// Driver model families. Under DriverNonlinear the bound falls back to
+// closed-form device-current estimates for the holding resistance and
+// derates the table transition time (a nonlinear output can slew faster than
+// its 20–80 % figure suggests mid-swing).
 const (
-	// DriverFixedR models every driver as one fixed linear resistance with
-	// an ideal ramp source.
-	DriverFixedR DriverModel = iota
-	// DriverTimingLibrary uses per-cell linear resistances and output
-	// transitions deduced from the NLDM characterization tables.
-	DriverTimingLibrary
-	// DriverNonlinear uses the pre-characterized nonlinear cell models; the
-	// bound falls back to closed-form device-current estimates for the
-	// holding resistance and derates the table transition time (a nonlinear
-	// output can slew faster than its 20–80 % figure suggests mid-swing).
-	DriverNonlinear
+	DriverFixedR        = cells.DriverFixedR
+	DriverTimingLibrary = cells.DriverTimingLibrary
+	DriverNonlinear     = cells.DriverNonlinear
 )
 
 // nonlinearSlewDerate shrinks the table output-transition time when bounding
@@ -63,24 +59,19 @@ const nonlinearSlewDerate = 0.5
 type BoundOptions struct {
 	// Model selects the driver-model family the detailed flow would use.
 	Model DriverModel
-	// FixedOhms is the drive resistance for DriverFixedR (default 1000).
+	// FixedOhms is the drive resistance for DriverFixedR (default
+	// cells.DefaultFixedOhms).
 	FixedOhms float64
-	// InputSlew is the aggressors' driver input transition time (default
-	// 120 ps, the glitch engine's default stimulus).
-	InputSlew float64
-	// Vdd is the supply (default the bundled technology's 3.0 V).
+	// Vdd is the supply (default the bundled technology's devices.Vdd025).
 	Vdd float64
 }
 
 func (o *BoundOptions) setDefaults() {
 	if o.FixedOhms == 0 {
-		o.FixedOhms = 1000
-	}
-	if o.InputSlew == 0 {
-		o.InputSlew = 120e-12
+		o.FixedOhms = cells.DefaultFixedOhms
 	}
 	if o.Vdd == 0 {
-		o.Vdd = 3.0
+		o.Vdd = devices.Vdd025
 	}
 }
 
@@ -216,17 +207,17 @@ func holdResistance(c *cells.Cell, model DriverModel, fixedOhms float64) (float6
 func aggressorSlew(c *cells.Cell, loadF float64, opt BoundOptions) (float64, error) {
 	switch opt.Model {
 	case DriverFixedR:
-		// The fixed-R driver is an ideal ramp of exactly InputSlew behind R:
-		// the line cannot slew faster than the source.
-		return opt.InputSlew, nil
+		// The fixed-R driver is an ideal ramp of exactly the aggressor input
+		// slew behind R: the line cannot slew faster than the source.
+		return cells.AggressorInputSlew, nil
 	case DriverTimingLibrary, DriverNonlinear:
 		tm, err := cells.CharacterizeCached(c)
 		if err != nil {
 			return 0, err
 		}
 		tr := math.Min(
-			tm.Trans(loadF, opt.InputSlew, true),
-			tm.Trans(loadF, opt.InputSlew, false),
+			tm.Trans(loadF, cells.AggressorInputSlew, true),
+			tm.Trans(loadF, cells.AggressorInputSlew, false),
 		)
 		if opt.Model == DriverNonlinear {
 			tr *= nonlinearSlewDerate

@@ -16,10 +16,10 @@ package cellmodel
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"xtverify/internal/cells"
 	"xtverify/internal/devices"
+	"xtverify/internal/memo"
 	"xtverify/internal/romsim"
 	"xtverify/internal/spice"
 	"xtverify/internal/waveform"
@@ -122,32 +122,31 @@ const (
 	StagePullUp                // output driven toward Vdd
 )
 
-// ivCacheKey caches per-cell characterizations (the "one-time task").
-type ivCacheKey struct {
-	cell  string
-	which Stage
+// ivKey is everything that shapes a CharacterizeIV result.
+type ivKey struct {
+	cell   string
+	which  Stage
+	points int
 }
 
-var (
-	ivMu    sync.Mutex
-	ivCache = map[ivCacheKey]*IVCurve{}
-)
+// ivCache memoizes per-cell characterizations (the "one-time task").
+var ivCache memo.Map[ivKey, *IVCurve]
 
 // CharacterizeIV measures the static output-stage I–V curve of a cell with
 // the SPICE-class engine: the output is forced through a 1 Ω sense resistor
-// across a voltage grid and the injected current recorded. which selects the
-// conducting network.
+// across a grid of points voltages (25 if points < 2) and the injected
+// current recorded. which selects the conducting network. Results are
+// memoized per cell, stage and point count.
 func CharacterizeIV(c *cells.Cell, which Stage, points int) (*IVCurve, error) {
 	if points < 2 {
 		points = 25
 	}
-	ivMu.Lock()
-	if cv, ok := ivCache[ivCacheKey{c.Name, which}]; ok {
-		ivMu.Unlock()
-		return cv, nil
-	}
-	ivMu.Unlock()
+	return ivCache.Get(ivKey{c.Name, which, points}, func() (*IVCurve, error) {
+		return characterizeIV(c, which, points)
+	})
+}
 
+func characterizeIV(c *cells.Cell, which Stage, points int) (*IVCurve, error) {
 	const rSense = 1.0
 	curve := &IVCurve{}
 	for k := 0; k < points; k++ {
@@ -177,9 +176,6 @@ func CharacterizeIV(c *cells.Cell, which Stage, points int) (*IVCurve, error) {
 	}
 	// The sense-resistor offset keeps the samples ordered, but be defensive.
 	sort.Sort(byVoltage{curve})
-	ivMu.Lock()
-	ivCache[ivCacheKey{c.Name, which}] = curve
-	ivMu.Unlock()
 	return curve, nil
 }
 

@@ -76,6 +76,21 @@ func TestIVCurvePullUpShape(t *testing.T) {
 	}
 }
 
+// TestCharacterizeIVKeysByPoints: the I–V memo keys by point count, so a
+// default (25-point) request after a 15-point one gets its own grid.
+func TestCharacterizeIVKeysByPoints(t *testing.T) {
+	c, _ := cells.ByName("INV_X2")
+	for _, tc := range []struct{ points, want int }{{15, 15}, {0, 25}, {25, 25}} {
+		cv, err := CharacterizeIV(c, StagePullDown, tc.points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cv.V) != tc.want {
+			t.Errorf("CharacterizeIV(points=%d) returned %d samples, want %d", tc.points, len(cv.V), tc.want)
+		}
+	}
+}
+
 func TestIVCurveEvalInterpolation(t *testing.T) {
 	cv := &IVCurve{V: []float64{0, 1, 2}, I: []float64{0, -2, -3}}
 	i, di := cv.Eval(0.5)

@@ -3,9 +3,9 @@ package cellmodel
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"xtverify/internal/cells"
+	"xtverify/internal/memo"
 	"xtverify/internal/romsim"
 	"xtverify/internal/spice"
 	"xtverify/internal/waveform"
@@ -46,20 +46,19 @@ func (s *IVSurface) Eval(v, u float64) (float64, float64) {
 	return i0*(1-frac) + i1*frac, g0*(1-frac) + g1*frac
 }
 
+// surfKey is everything that shapes a CharacterizeIVSurface result.
 type surfKey struct {
 	cell           string
 	levels, points int
 }
 
-var (
-	surfMu    sync.Mutex
-	surfCache = map[surfKey]*IVSurface{}
-)
+// surfCache memoizes the one-time surface characterizations.
+var surfCache memo.Map[surfKey, *IVSurface]
 
 // CharacterizeIVSurface measures the drive surface with the SPICE-class
 // engine: for each input level the switching input is held at DC and the
 // output is swept through a 1 Ω sense resistor. Results are memoized per
-// cell (the one-time characterization task).
+// cell and grid (the one-time characterization task).
 func CharacterizeIVSurface(c *cells.Cell, levels, points int) (*IVSurface, error) {
 	if levels < 2 {
 		levels = 9
@@ -67,13 +66,12 @@ func CharacterizeIVSurface(c *cells.Cell, levels, points int) (*IVSurface, error
 	if points < 2 {
 		points = 21
 	}
-	key := surfKey{c.Name, levels, points}
-	surfMu.Lock()
-	if s, ok := surfCache[key]; ok {
-		surfMu.Unlock()
-		return s, nil
-	}
-	surfMu.Unlock()
+	return surfCache.Get(surfKey{c.Name, levels, points}, func() (*IVSurface, error) {
+		return characterizeIVSurface(c, levels, points)
+	})
+}
+
+func characterizeIVSurface(c *cells.Cell, levels, points int) (*IVSurface, error) {
 	surf := &IVSurface{}
 	const rSense = 1.0
 	for li := 0; li < levels; li++ {
@@ -105,9 +103,6 @@ func CharacterizeIVSurface(c *cells.Cell, levels, points int) (*IVSurface, error
 		surf.U = append(surf.U, u)
 		surf.Curves = append(surf.Curves, curve)
 	}
-	surfMu.Lock()
-	surfCache[key] = surf
-	surfMu.Unlock()
 	return surf, nil
 }
 

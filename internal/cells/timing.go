@@ -2,9 +2,9 @@ package cells
 
 import (
 	"fmt"
-	"sync"
 
 	"xtverify/internal/devices"
+	"xtverify/internal/memo"
 	"xtverify/internal/spice"
 	"xtverify/internal/waveform"
 )
@@ -42,25 +42,15 @@ type CharacterizeOptions struct {
 	Dt float64
 }
 
-var (
-	timingMu    sync.Mutex
-	timingCache = map[string]*Timing{}
-)
+// timingCache memoizes CharacterizeCached by cell name.
+var timingCache memo.Map[string, *Timing]
 
 // CharacterizeCached characterizes with default grids, memoizing per cell —
 // the paper's "one-time task".
 func CharacterizeCached(c *Cell) (*Timing, error) {
-	timingMu.Lock()
-	defer timingMu.Unlock()
-	if t, ok := timingCache[c.Name]; ok {
-		return t, nil
-	}
-	t, err := Characterize(c, CharacterizeOptions{})
-	if err != nil {
-		return nil, err
-	}
-	timingCache[c.Name] = t
-	return t, nil
+	return timingCache.Get(c.Name, func() (*Timing, error) {
+		return Characterize(c, CharacterizeOptions{})
+	})
 }
 
 // Characterize measures the cell against the SPICE-class engine.

@@ -2,9 +2,9 @@ package cells
 
 import (
 	"fmt"
-	"sync"
 
 	"xtverify/internal/devices"
+	"xtverify/internal/memo"
 	"xtverify/internal/spice"
 	"xtverify/internal/waveform"
 )
@@ -29,21 +29,17 @@ type VTC struct {
 	NML, NMH float64
 }
 
-var (
-	vtcMu    sync.Mutex
-	vtcCache = map[string]*VTC{}
-)
+// vtcCache memoizes CharacterizeVTC by cell name.
+var vtcCache memo.Map[string, *VTC]
 
 // CharacterizeVTC sweeps the cell's switching input at DC with the
 // SPICE-class engine and extracts the noise-margin corners. Results are
 // memoized per cell.
 func CharacterizeVTC(c *Cell) (*VTC, error) {
-	vtcMu.Lock()
-	if v, ok := vtcCache[c.Name]; ok {
-		vtcMu.Unlock()
-		return v, nil
-	}
-	vtcMu.Unlock()
+	return vtcCache.Get(c.Name, func() (*VTC, error) { return characterizeVTC(c) })
+}
+
+func characterizeVTC(c *Cell) (*VTC, error) {
 	const points = 61
 	v := &VTC{Cell: c}
 	vdd := devices.Vdd025
@@ -66,9 +62,6 @@ func CharacterizeVTC(c *Cell) (*VTC, error) {
 		v.Vout = append(v.Vout, op[out])
 	}
 	v.derive()
-	vtcMu.Lock()
-	vtcCache[c.Name] = v
-	vtcMu.Unlock()
 	return v, nil
 }
 

@@ -38,8 +38,10 @@ import (
 // filled in by New.
 type Options struct {
 	// Engine is the base verification config applied to every job before
-	// per-request overrides. Its SharedROMCache, ROMStore and Collector
-	// fields are managed by the server and must be left nil.
+	// per-request overrides. Its ROMCacheCap sizes the server's shared
+	// in-memory ROM cache and its ROMStore, when non-nil, backs that cache
+	// on disk across restarts. Its SharedROMCache and Collector fields are
+	// managed by the server and must be left nil.
 	Engine xtverify.Config
 	// MaxConcurrent bounds simultaneously running jobs (default 2).
 	MaxConcurrent int
@@ -51,12 +53,6 @@ type Options struct {
 	// deadlines (default 10m).
 	DefaultJobTimeout time.Duration
 	MaxJobTimeout     time.Duration
-	// ROMCacheCap sizes the shared in-memory ROM cache
-	// (xtverify.DefaultROMCacheCap when 0).
-	ROMCacheCap int
-	// Store, when non-nil, is the disk-persistent ROM cache backing the
-	// shared in-memory cache across restarts.
-	Store *xtverify.ROMStore
 	// ReportCacheCap bounds the completed-job report cache (entries,
 	// oldest-evicted; default 32). Cached entries serve repeat /v1/verify
 	// requests for the same design and canonical config without re-running,
@@ -123,7 +119,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:   opts,
-		cache:  xtverify.NewROMCache(opts.ROMCacheCap),
+		cache:  xtverify.NewROMCache(opts.Engine.ROMCacheCap),
 		sem:    make(chan struct{}, opts.MaxConcurrent),
 		totals: make(map[string]int64),
 		byID:   make(map[string]*cachedJob),
@@ -323,8 +319,8 @@ func (s *Server) Metrics() MetricsBody {
 	m.ReportCache.Entries = len(s.byID)
 	s.cacheMu.Unlock()
 	m.ReportCache.Hits = s.reportHits.Load()
-	if s.opts.Store != nil {
-		st := s.opts.Store.Stats()
+	if s.opts.Engine.ROMStore != nil {
+		st := s.opts.Engine.ROMStore.Stats()
 		m.ROMStore = &st
 	}
 	m.EngineCounters = make(map[string]int64)
@@ -522,12 +518,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jobConfig builds the per-job engine config: base options, shared cache
-// and store, fresh collector, then request overrides.
+// jobConfig builds the per-job engine config: base options (the store
+// included), shared cache, fresh collector, then request overrides.
 func (s *Server) jobConfig(req *VerifyRequest) (xtverify.Config, string) {
 	cfg := s.opts.Engine
 	cfg.SharedROMCache = s.cache
-	cfg.ROMStore = s.opts.Store
 	cfg.Collector = xtverify.NewMetricsCollector()
 	switch strings.ToLower(req.Model) {
 	case "":

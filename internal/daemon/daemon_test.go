@@ -203,7 +203,7 @@ func TestWarmColdRestartByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Options{Store: store}
+		return Options{Engine: xtverify.Config{ROMStore: store}}
 	}
 
 	// Cold daemon: computes everything, populates the store.

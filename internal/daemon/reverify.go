@@ -270,9 +270,9 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// base.cfg came from jobConfig, so it already carries the shared ROM
+	// cache and store.
 	cfg := base.cfg
-	cfg.SharedROMCache = s.cache
-	cfg.ROMStore = s.opts.Store
 	cfg.Collector = xtverify.NewMetricsCollector()
 	// A reverify materializes the edited design whatever the base job did:
 	// splicing needs cluster-level random access, and StreamIngest is not

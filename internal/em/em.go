@@ -13,14 +13,15 @@
 package em
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"xtverify/internal/cellmodel"
 	"xtverify/internal/cells"
 	"xtverify/internal/circuit"
 	"xtverify/internal/design"
-	"xtverify/internal/devices"
 	"xtverify/internal/extract"
 	"xtverify/internal/mna"
 	"xtverify/internal/prune"
@@ -68,27 +69,21 @@ type Options struct {
 	// ActivityHz is the switching frequency (both edges per period);
 	// 200 MHz if zero — a leading-edge 1999 DSP clock.
 	ActivityHz float64
-	// Dt is the transient step (2 ps default).
-	Dt float64
-	// Limits default to DefaultLimits.
-	Limits Limits
 }
 
-// AnalyzeNet audits one net of the extraction.
+// baseStep is the transient step; stepFor widens it for low activity
+// frequencies.
+const baseStep = 2e-12
+
+// AnalyzeNet audits one net of the extraction against DefaultLimits.
 func AnalyzeNet(par *extract.Parasitics, netIdx int, opt Options) (*Result, error) {
 	if opt.ActivityHz == 0 {
 		opt.ActivityHz = 200e6
 	}
-	if opt.Dt == 0 {
-		opt.Dt = 2e-12
-	}
-	if opt.Limits == (Limits{}) {
-		opt.Limits = DefaultLimits()
-	}
 	net := par.Design.Nets[netIdx]
 	rc := par.Nets[netIdx]
 	drv := net.Drivers[net.StrongestDriver()]
-	res := &Result{Net: net.Name, DriverCell: drv.Cell.Name, Limits: opt.Limits}
+	res := &Result{Net: net.Name, DriverCell: drv.Cell.Name, Limits: DefaultLimits()}
 	res.WidthM = minWidth(net) * 1e-6
 
 	// Single-net circuit: wire RC with all coupling grounded (worst
@@ -111,18 +106,17 @@ func AnalyzeNet(par *extract.Parasitics, netIdx int, opt Options) (*Result, erro
 		return nil, err
 	}
 	load := rc.TotalCapF()
-	slew := 120e-12
-	up, err := cellmodel.NewNonlinearSwitching(drv.Cell, tm, true, period/4, slew, load)
+	up, err := cellmodel.NewNonlinearSwitching(drv.Cell, tm, true, period/4, cells.AggressorInputSlew, load)
 	if err != nil {
 		return nil, err
 	}
-	down, err := cellmodel.NewNonlinearSwitching(drv.Cell, tm, false, 3*period/4, slew, load)
+	down, err := cellmodel.NewNonlinearSwitching(drv.Cell, tm, false, 3*period/4, cells.AggressorInputSlew, load)
 	if err != nil {
 		return nil, err
 	}
 	cycle := &cycleDriver{up: up, down: down, mid: period / 2}
 	simRes, err := romsim.Simulate(model, []romsim.Termination{{Dev: cycle}},
-		romsim.Options{TEnd: period, Dt: stepFor(period, opt.Dt)})
+		romsim.Options{TEnd: period, Dt: stepFor(period)})
 	if err != nil {
 		return nil, err
 	}
@@ -143,19 +137,19 @@ func AnalyzeNet(par *extract.Parasitics, netIdx int, opt Options) (*Result, erro
 	res.IAvgA = sumAbs / period
 	res.IRMSA = math.Sqrt(sumSq / period)
 	res.IPeakA = peak
-	res.AvgViolation = res.IAvgA > opt.Limits.AvgAPerM*res.WidthM
-	res.RMSViolation = res.IRMSA > opt.Limits.RMSAPerM*res.WidthM
-	res.PeakViolation = res.IPeakA > opt.Limits.PeakAPerM*res.WidthM
+	res.AvgViolation = res.IAvgA > res.Limits.AvgAPerM*res.WidthM
+	res.RMSViolation = res.IRMSA > res.Limits.RMSAPerM*res.WidthM
+	res.PeakViolation = res.IPeakA > res.Limits.PeakAPerM*res.WidthM
 	return res, nil
 }
 
 // stepFor keeps the step count bounded for low activity frequencies.
-func stepFor(period, dt float64) float64 {
+func stepFor(period float64) float64 {
 	const maxSteps = 20000
-	if period/dt > maxSteps {
+	if period/baseStep > maxSteps {
 		return period / maxSteps
 	}
-	return dt
+	return baseStep
 }
 
 func minWidth(net *design.Net) float64 {
@@ -210,11 +204,5 @@ func sortBySeverity(rs []*Result) {
 		}
 		return r.IRMSA / (r.Limits.RMSAPerM * r.WidthM)
 	}
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && util(rs[j]) > util(rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+	slices.SortStableFunc(rs, func(a, b *Result) int { return cmp.Compare(util(b), util(a)) })
 }
-
-var _ = devices.Vdd025

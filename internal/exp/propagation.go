@@ -48,7 +48,7 @@ func RunPropagation(cfg dsp.Config, maxVictims int, thresholdFrac float64) (*Pro
 	eng := glitch.NewEngine(par, glitch.Options{
 		Model: glitch.ModelNonlinear, TEnd: 4e-9, Dt: 2e-12, OrderFactor: 3,
 	})
-	prop := noiseprop.New(par, noiseprop.Options{TEnd: 4e-9, Dt: 2e-12})
+	prop := noiseprop.New(par)
 	res := &PropagationResult{DepthHistogram: stats.NewHistogram(0, 6, 6)}
 	worstDepth := -1
 	for _, cl := range clusters {

@@ -110,9 +110,6 @@ func (s *Streamer) Tech() *Tech { return s.tech }
 // (unretired) nets — the frontier's peak width.
 func (s *Streamer) PeakLiveNets() int { return s.peakLive }
 
-// LiveNets returns the current number of unretired nets.
-func (s *Streamer) LiveNets() int { return s.liveNets }
-
 func (s *Streamer) bucketOf(fixed float64) int64 {
 	return int64(math.Floor(fixed / s.tech.MaxCoupleSpacingUM))
 }

@@ -32,27 +32,27 @@ import (
 // Vdd is the analysis supply.
 const Vdd = devices.Vdd025
 
-// ModelKind selects the driver model family.
-type ModelKind int
+// ModelKind selects the driver model family; it is cells.DriverModel, the
+// one enum the engine shares with the rung-0 screen.
+type ModelKind = cells.DriverModel
 
 // Driver model kinds.
 const (
-	// ModelFixedR uses one fixed linear drive resistance for every driver
-	// (the Figure 3 setup with 1 kΩ).
-	ModelFixedR ModelKind = iota
-	// ModelTimingLibrary uses per-cell linear resistances deduced from the
-	// NLDM tables (Section 4.1 / Table 3).
-	ModelTimingLibrary
-	// ModelNonlinear uses the pre-characterized nonlinear cell models
-	// (Section 4.2 / Table 4).
-	ModelNonlinear
+	ModelFixedR        = cells.DriverFixedR
+	ModelTimingLibrary = cells.DriverTimingLibrary
+	ModelNonlinear     = cells.DriverNonlinear
 )
+
+// alignTime is the nominal aggressor switching instant when timing windows
+// are not used.
+const alignTime = 200e-12
 
 // Options configures an analysis run.
 type Options struct {
 	// Model selects the driver model family.
 	Model ModelKind
-	// FixedOhms is the drive resistance for ModelFixedR (default 1000).
+	// FixedOhms is the drive resistance for ModelFixedR (default
+	// cells.DefaultFixedOhms).
 	FixedOhms float64
 	// Order is the reduced-model order (default OrderFactor·ports, capped
 	// by cluster size).
@@ -62,11 +62,6 @@ type Options struct {
 	OrderFactor int
 	// TEnd and Dt control the transient (defaults 4 ns / 2 ps).
 	TEnd, Dt float64
-	// AlignTime is the nominal aggressor switching instant when timing
-	// windows are not used (default 200 ps).
-	AlignTime float64
-	// InputSlew is the aggressors' driver input transition (default 120 ps).
-	InputSlew float64
 	// UseTimingWindows aligns aggressors inside their STA windows and
 	// silences those that cannot overlap the victim's window.
 	UseTimingWindows bool
@@ -114,19 +109,13 @@ type Options struct {
 
 func (o *Options) setDefaults() {
 	if o.FixedOhms == 0 {
-		o.FixedOhms = 1000
+		o.FixedOhms = cells.DefaultFixedOhms
 	}
 	if o.TEnd == 0 {
 		o.TEnd = 4e-9
 	}
 	if o.Dt == 0 {
 		o.Dt = 2e-12
-	}
-	if o.AlignTime == 0 {
-		o.AlignTime = 200e-12
-	}
-	if o.InputSlew == 0 {
-		o.InputSlew = 120e-12
 	}
 }
 
@@ -316,7 +305,7 @@ func (e *Engine) planAggressors(cl *prune.Cluster, glitchRising bool) []Aggresso
 	plans := make([]AggressorPlan, len(cl.Aggressors))
 	for i, a := range cl.Aggressors {
 		aNet := d.Nets[a.Net]
-		plan := AggressorPlan{Net: a.Net, Cell: e.strongestCell(a.Net), Rising: glitchRising, SwitchAt: e.Opt.AlignTime}
+		plan := AggressorPlan{Net: a.Net, Cell: e.strongestCell(a.Net), Rising: glitchRising, SwitchAt: alignTime}
 		if e.Opt.UseTimingWindows && vNet.Window.Valid && aNet.Window.Valid {
 			if !vNet.Window.Overlaps(aNet.Window) {
 				plan.Quiet = true
@@ -325,7 +314,7 @@ func (e *Engine) planAggressors(cl *prune.Cluster, glitchRising bool) []Aggresso
 				// nominal alignment point as allowed.
 				lo := math.Max(vNet.Window.Early, aNet.Window.Early)
 				hi := math.Min(vNet.Window.Late, aNet.Window.Late)
-				at := math.Min(math.Max(e.Opt.AlignTime, lo), hi)
+				at := math.Min(math.Max(alignTime, lo), hi)
 				plan.SwitchAt = at
 			}
 		}
@@ -362,11 +351,11 @@ func (e *Engine) aggressorSource(plan AggressorPlan) waveform.Source {
 	if !inRising {
 		v0, v1 = Vdd, 0
 	}
-	start := plan.SwitchAt - e.Opt.InputSlew/2
+	start := plan.SwitchAt - cells.AggressorInputSlew/2
 	if start < 0 {
 		start = 0
 	}
-	return waveform.Ramp(v0, v1, start, e.Opt.InputSlew)
+	return waveform.Ramp(v0, v1, start, cells.AggressorInputSlew)
 }
 
 // driverTermination builds the romsim termination for a switching aggressor.
@@ -385,26 +374,26 @@ func (e *Engine) driverTermination(plan AggressorPlan, loadEst float64) (romsim.
 		if !plan.Rising {
 			v0, v1 = Vdd, 0
 		}
-		start := plan.SwitchAt - e.Opt.InputSlew/2
+		start := plan.SwitchAt - cells.AggressorInputSlew/2
 		if start < 0 {
 			start = 0
 		}
 		return romsim.Termination{Linear: &romsim.Linear{
-			G: 1 / e.Opt.FixedOhms, Vs: waveform.Ramp(v0, v1, start, e.Opt.InputSlew),
+			G: 1 / e.Opt.FixedOhms, Vs: waveform.Ramp(v0, v1, start, cells.AggressorInputSlew),
 		}}, nil
 	case ModelTimingLibrary:
 		tm, err := cells.CharacterizeCached(plan.Cell)
 		if err != nil {
 			return romsim.Termination{}, err
 		}
-		drv := cellmodel.NewLinearSwitching(tm, plan.Rising, plan.SwitchAt, e.Opt.InputSlew, loadEst)
+		drv := cellmodel.NewLinearSwitching(tm, plan.Rising, plan.SwitchAt, cells.AggressorInputSlew, loadEst)
 		return drv.Termination(), nil
 	case ModelNonlinear:
 		tm, err := cells.CharacterizeCached(plan.Cell)
 		if err != nil {
 			return romsim.Termination{}, err
 		}
-		drv, err := cellmodel.NewNonlinearSwitching(plan.Cell, tm, plan.Rising, plan.SwitchAt, e.Opt.InputSlew, loadEst)
+		drv, err := cellmodel.NewNonlinearSwitching(plan.Cell, tm, plan.Rising, plan.SwitchAt, cells.AggressorInputSlew, loadEst)
 		if err != nil {
 			return romsim.Termination{}, err
 		}
@@ -833,7 +822,7 @@ func (e *Engine) AnalyzeDelayContext(ctx context.Context, cl *prune.Cluster, vic
 	// Victim switches; aggressors switch opposite (worst case for delay).
 	plans := e.planAggressors(cl, !victimRising)
 	terms := make([]romsim.Termination, len(s.ckt.Ports))
-	vPlan := AggressorPlan{Net: cl.Victim, Cell: e.strongestCell(cl.Victim), Rising: victimRising, SwitchAt: e.Opt.AlignTime}
+	vPlan := AggressorPlan{Net: cl.Victim, Cell: e.strongestCell(cl.Victim), Rising: victimRising, SwitchAt: alignTime}
 	if terms[s.cp.victimDriver], err = e.driverTermination(vPlan, e.loadEstimate(cl.Victim)); err != nil {
 		return nil, err
 	}
@@ -868,7 +857,7 @@ func (e *Engine) delayResult(cl *prune.Cluster, cp *clusterPorts, simRes *romsim
 		if !ok {
 			return nil, fmt.Errorf("glitch: victim receiver never crossed 50%% in delay analysis")
 		}
-		d := cross - e.Opt.AlignTime
+		d := cross - alignTime
 		if d > worst {
 			worst = d
 			res.Delay = d

@@ -127,7 +127,7 @@ func TestTimingWindowsSuppressAggressors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sta.Annotate(d, p, sta.DefaultOptions()); err != nil {
+	if err := sta.Annotate(d, p); err != nil {
 		t.Fatal(err)
 	}
 	cls := prune.Clusters(p, prune.Options{CapRatioThreshold: 0.01, MinCouplingF: 0.1e-15})

@@ -89,13 +89,3 @@ func (c *Cholesky) SolveUpper(y []float64) []float64 {
 	}
 	return x
 }
-
-// Det returns the determinant of the factored matrix.
-func (c *Cholesky) Det() float64 {
-	d := 1.0
-	for i := 0; i < c.l.rows; i++ {
-		v := c.l.At(i, i)
-		d *= v * v
-	}
-	return d
-}

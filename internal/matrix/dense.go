@@ -85,13 +85,6 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // Col returns a copy of column j.
 func (m *Dense) Col(j int) []float64 {
 	out := make([]float64, m.rows)
@@ -125,26 +118,6 @@ func (m *Dense) T() *Dense {
 		for j := 0; j < m.cols; j++ {
 			out.data[j*out.cols+i] = m.data[i*m.cols+j]
 		}
-	}
-	return out
-}
-
-// Scale multiplies every element by s in place and returns the receiver.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) *Dense {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("matrix: AddMat dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
 	}
 	return out
 }

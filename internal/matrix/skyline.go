@@ -41,9 +41,6 @@ func NewSkylineTemplate(adj [][]int, symmetric bool) *SkylineTemplate {
 	return t
 }
 
-// Size returns the matrix dimension.
-func (t *SkylineTemplate) Size() int { return t.n }
-
 // NewMatrix allocates a zero matrix over the template's profile.
 func (t *SkylineTemplate) NewMatrix() *Skyline {
 	m := &Skyline{t: t, diag: make([]float64, t.n), low: make([]float64, t.lowLen)}
@@ -99,37 +96,12 @@ func (m *Skyline) Add(i, j int, v float64) {
 		m.low[t.rowptr[i]+(j-t.first[i])] += v
 	default: // i < j, upper triangle
 		if m.upp == nil {
-			panic("matrix: upper-triangle stamp on symmetric skyline; use AddSym")
+			panic("matrix: upper-triangle stamp on symmetric skyline; stamp the lower triangle")
 		}
 		if i < t.first[j] {
 			panic(fmt.Sprintf("matrix: skyline entry (%d,%d) outside profile (first=%d)", i, j, t.first[j]))
 		}
 		m.upp[t.rowptr[j]+(i-t.first[j])] += v
-	}
-}
-
-// AddSym accumulates the symmetric conductance stamp (+v on both diagonals,
-// −v on both off-diagonals) for element between nodes i and j; negative node
-// indices denote ground.
-func (m *Skyline) AddSym(i, j int, v float64) {
-	if i >= 0 {
-		m.Add(i, i, v)
-	}
-	if j >= 0 {
-		m.Add(j, j, v)
-	}
-	if i >= 0 && j >= 0 {
-		if i > j {
-			m.Add(i, j, -v)
-			if m.upp != nil {
-				m.Add(j, i, -v)
-			}
-		} else if j > i {
-			m.Add(j, i, -v)
-			if m.upp != nil {
-				m.Add(i, j, -v)
-			}
-		}
 	}
 }
 

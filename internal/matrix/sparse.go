@@ -103,15 +103,6 @@ func (s *Sparse) Entries() []Coord {
 	return out
 }
 
-// Clone returns a deep copy.
-func (s *Sparse) Clone() *Sparse {
-	out := NewSparse(s.n)
-	for k, v := range s.entries {
-		out.entries[k] = v
-	}
-	return out
-}
-
 // Dense converts the sparse matrix to dense form.
 func (s *Sparse) Dense() *Dense {
 	d := NewDense(s.n, s.n)

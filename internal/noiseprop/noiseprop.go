@@ -57,44 +57,27 @@ type Result struct {
 	ReachedLatch bool
 }
 
-// Options configures the propagation.
-type Options struct {
-	// DieVolts is the amplitude below which a pulse is considered filtered
-	// (default 0.15 V, ~5 % of Vdd).
-	DieVolts float64
-	// MaxDepth bounds the recursion (default 6 stages).
-	MaxDepth int
-	// TEnd and Dt control each stage's transient (defaults 4 ns / 2 ps).
-	TEnd, Dt float64
-}
-
-func (o *Options) setDefaults() {
-	if o.DieVolts == 0 {
-		o.DieVolts = 0.15
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 6
-	}
-	if o.TEnd == 0 {
-		o.TEnd = 4e-9
-	}
-	if o.Dt == 0 {
-		o.Dt = 2e-12
-	}
-}
+// Propagation settings.
+const (
+	// dieVolts is the amplitude below which a pulse is considered filtered
+	// (~5 % of Vdd).
+	dieVolts = 0.15
+	// maxDepth bounds the recursion in gate stages.
+	maxDepth = 6
+	// tEnd and dt control each stage's transient.
+	tEnd, dt = 4e-9, 2e-12
+)
 
 // Propagator runs noise propagation over one design.
 type Propagator struct {
 	par *extract.Parasitics
-	opt Options
 	// fanout[f] lists nets whose driver input is fed by net f.
 	fanout [][]int
 }
 
 // New builds a propagator (the fanout relation is derived once).
-func New(par *extract.Parasitics, opt Options) *Propagator {
-	opt.setDefaults()
-	p := &Propagator{par: par, opt: opt}
+func New(par *extract.Parasitics) *Propagator {
+	p := &Propagator{par: par}
 	p.fanout = make([][]int, len(par.Design.Nets))
 	for _, n := range par.Design.Nets {
 		for _, f := range n.Fanins {
@@ -122,13 +105,13 @@ func (p *Propagator) Propagate(victim int, injected *waveform.Waveform, quietHig
 	}
 	res := &Result{Chain: append([]Stage{root}, chain...)}
 	res.Depth = len(res.Chain) - 1
-	res.ReachedLatch = reached || (root.Latch && math.Abs(root.PeakV) >= p.opt.DieVolts)
+	res.ReachedLatch = reached || (root.Latch && math.Abs(root.PeakV) >= dieVolts)
 	return res, nil
 }
 
 // walk returns the worst downstream chain from the disturbance on net f.
 func (p *Propagator) walk(f int, wave *waveform.Waveform, quietHigh bool, depth int) ([]Stage, bool, error) {
-	if depth >= p.opt.MaxDepth {
+	if depth >= maxDepth {
 		return nil, false, nil
 	}
 	d := p.par.Design
@@ -145,7 +128,7 @@ func (p *Propagator) walk(f int, wave *waveform.Waveform, quietHigh bool, depth 
 			return nil, false, fmt.Errorf("noiseprop: net %s: %w", net.Name, err)
 		}
 		peak := peakOf(out, quietLevel(outQuietHigh))
-		if math.Abs(peak) < p.opt.DieVolts {
+		if math.Abs(peak) < dieVolts {
 			continue
 		}
 		st := Stage{
@@ -201,7 +184,7 @@ func (p *Propagator) stageResponse(n int, in *waveform.Waveform, inQuietHigh boo
 	}
 	drv := &cellmodel.SurfaceDriver{Surface: surf, In: in.At}
 	simRes, err := romsim.Simulate(model, []romsim.Termination{drv.Termination(), {}},
-		romsim.Options{TEnd: p.opt.TEnd, Dt: p.opt.Dt})
+		romsim.Options{TEnd: tEnd, Dt: dt})
 	if err != nil {
 		return nil, false, err
 	}

@@ -59,7 +59,7 @@ func pulse(amplitude float64) *waveform.Waveform {
 
 func TestLargeGlitchPropagatesToLatch(t *testing.T) {
 	par := chainDesign(t, []string{"INV_X2", "INV_X2", "INV_X2"})
-	p := New(par, Options{})
+	p := New(par)
 	// A 2.2 V glitch is far above any inverter threshold: it must propagate
 	// through both downstream inverters and reach the latch input.
 	res, err := p.Propagate(0, pulse(2.2), false)
@@ -84,7 +84,7 @@ func TestLargeGlitchPropagatesToLatch(t *testing.T) {
 
 func TestSmallGlitchFiltered(t *testing.T) {
 	par := chainDesign(t, []string{"INV_X2", "INV_X2", "INV_X2"})
-	p := New(par, Options{})
+	p := New(par)
 	// 0.4 V is below the inverter's unity-gain corner: the first gate
 	// attenuates it below the dying threshold.
 	res, err := p.Propagate(0, pulse(0.4), false)
@@ -101,7 +101,7 @@ func TestSmallGlitchFiltered(t *testing.T) {
 
 func TestMarginalGlitchDiesAlongChain(t *testing.T) {
 	par := chainDesign(t, []string{"INV_X2", "INV_X2", "INV_X2", "INV_X2"})
-	p := New(par, Options{})
+	p := New(par)
 	// Sweep amplitudes: propagation depth must be monotone in amplitude.
 	prevDepth := -1
 	for _, amp := range []float64{0.3, 1.0, 2.5} {
@@ -123,7 +123,7 @@ func TestRegenerationSharpensPulse(t *testing.T) {
 	// CMOS gates regenerate: a rail-exceeding input produces a full-rail
 	// output pulse, so amplitude should not decay for a strong injection.
 	par := chainDesign(t, []string{"INV_X4", "INV_X4", "INV_X4"})
-	p := New(par, Options{})
+	p := New(par)
 	res, err := p.Propagate(0, pulse(2.5), false)
 	if err != nil {
 		t.Fatal(err)

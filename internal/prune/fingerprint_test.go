@@ -15,7 +15,7 @@ import (
 // sharing Fingerprint was designed for is lost.
 func TestInputSignatureCertifiesCircuit(t *testing.T) {
 	p := extracted(t, channelCfg(7, 80))
-	if err := sta.Annotate(p.Design, p, sta.DefaultOptions()); err != nil {
+	if err := sta.Annotate(p.Design, p); err != nil {
 		t.Fatal(err)
 	}
 	cls := Clusters(p, Options{CapRatioThreshold: 0.02, MinCouplingF: 0.5e-15, MaxAggressors: 6})
@@ -57,7 +57,7 @@ func TestInputSignatureCertifiesCircuit(t *testing.T) {
 // result over a real edit.
 func TestInputSignatureSensitivity(t *testing.T) {
 	p := extracted(t, channelCfg(9, 40))
-	if err := sta.Annotate(p.Design, p, sta.DefaultOptions()); err != nil {
+	if err := sta.Annotate(p.Design, p); err != nil {
 		t.Fatal(err)
 	}
 	cls := Clusters(p, Options{CapRatioThreshold: 0.02, MinCouplingF: 0.5e-15, MaxAggressors: 6})

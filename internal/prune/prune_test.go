@@ -97,7 +97,7 @@ func TestTimingWindowPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sta.Annotate(d, p, sta.DefaultOptions()); err != nil {
+	if err := sta.Annotate(d, p); err != nil {
 		t.Fatal(err)
 	}
 	base := Options{CapRatioThreshold: 0.01, MinCouplingF: 0.1e-15}

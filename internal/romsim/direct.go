@@ -42,14 +42,6 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 	if dt <= 0 {
 		dt = opt.TEnd / 1000
 	}
-	tol := opt.NewtonTol
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	maxNewton := opt.MaxNewton
-	if maxNewton <= 0 {
-		maxNewton = 50
-	}
 	n := sys.N
 
 	var linPorts, nlPorts []int
@@ -197,7 +189,7 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 				return err
 			}
 			matrix.Axpy(-1, dv, vout)
-			if matrix.NormInf(dv) < tol {
+			if matrix.NormInf(dv) < newtonTol {
 				return nil
 			}
 		}
@@ -224,21 +216,19 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 	// DC operating point with the a=0 matrix.
 	v := make([]float64, n)
 	vnext := make([]float64, n)
-	if !opt.NoInitDC {
-		luDC, err := matrix.FactorLU(kdc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: DC system matrix singular: %v", ErrUnstableModel, err)
-		}
-		wDC, err := kinvCols(luDC)
-		if err != nil {
-			return nil, fmt.Errorf("romsim: direct DC solve: %w", err)
-		}
-		forceInto(scr.f, 0)
-		if err := newtonLoop(kdc, luDC, wDC, scr.f, v, vnext, 0); err != nil {
-			return nil, fmt.Errorf("romsim: DC init: %w", err)
-		}
-		v, vnext = vnext, v
+	luDC, err := matrix.FactorLU(kdc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: DC system matrix singular: %v", ErrUnstableModel, err)
 	}
+	wDC, err := kinvCols(luDC)
+	if err != nil {
+		return nil, fmt.Errorf("romsim: direct DC solve: %w", err)
+	}
+	forceInto(scr.f, 0)
+	if err := newtonLoop(kdc, luDC, wDC, scr.f, v, vnext, 0); err != nil {
+		return nil, fmt.Errorf("romsim: DC init: %w", err)
+	}
+	v, vnext = vnext, v
 	vdot := make([]float64, n)
 
 	nSteps := int(math.Round(opt.TEnd / dt))

@@ -120,14 +120,6 @@ func Prepare(m *sympvl.Model, terms []Termination, opt Options) (*Prepared, erro
 	if dt <= 0 {
 		dt = opt.TEnd / 1000
 	}
-	tol := opt.NewtonTol
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	maxNewton := opt.MaxNewton
-	if maxNewton <= 0 {
-		maxNewton = 50
-	}
 	q := m.Order
 
 	// Partition ports.
@@ -136,9 +128,8 @@ func Prepare(m *sympvl.Model, terms []Termination, opt Options) (*Prepared, erro
 		kinds: make([]portKind, m.Ports),
 		gs:    make([]float64, m.Ports),
 		dt:    dt, tend: opt.TEnd,
-		tol: tol, maxNewton: maxNewton,
+		tol: newtonTol, maxNewton: maxNewton,
 		denseNewt: opt.DenseNewton,
-		noInitDC:  opt.NoInitDC,
 	}
 	for j, tm := range terms {
 		if tm.Linear != nil && tm.Dev != nil {
@@ -249,9 +240,6 @@ func Prepare(m *sympvl.Model, terms []Termination, opt Options) (*Prepared, erro
 	}
 	return p, nil
 }
-
-// Ports returns the prepared model's port count.
-func (p *Prepared) Ports() int { return p.ports }
 
 // Order returns the reduced order of the prepared diagonal system.
 func (p *Prepared) Order() int { return p.q }

@@ -75,19 +75,19 @@ type Linear struct {
 	Vs waveform.Source
 }
 
+// Every transient starts from the DC operating point and runs Newton to
+// newtonTol (volts) within maxNewton iterations per step.
+const (
+	newtonTol = 1e-9
+	maxNewton = 50
+)
+
 // Options configures the transient run.
 type Options struct {
 	// TEnd is the simulation span (seconds).
 	TEnd float64
 	// Dt is the fixed time step; TEnd/1000 if zero.
 	Dt float64
-	// NewtonTol is the voltage-scale convergence tolerance (volts);
-	// 1e-9 if zero.
-	NewtonTol float64
-	// MaxNewton bounds Newton iterations per step; 50 if zero.
-	MaxNewton int
-	// NoInitDC starts from y = 0 instead of the DC operating point.
-	NoInitDC bool
 	// DenseNewton solves each Newton step with a dense LU factorization of
 	// the full Jacobian instead of the Sherman–Morrison–Woodbury
 	// diagonal-plus-rank-k solve. It exists only to quantify the benefit of

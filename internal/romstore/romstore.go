@@ -84,9 +84,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, goVersion: runtime.Version()}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns the cumulative counters.
 func (s *Store) Stats() Stats {
 	return Stats{

@@ -86,14 +86,6 @@ func (n *Netlist) Node(name string) Node {
 	return id
 }
 
-// NodeName returns the name for id ("0" for ground).
-func (n *Netlist) NodeName(id Node) string {
-	if id == Ground {
-		return "0"
-	}
-	return n.nodeNames[id]
-}
-
 // NumNodes returns the number of named nodes (driven or free).
 func (n *Netlist) NumNodes() int { return len(n.nodeNames) }
 
@@ -131,18 +123,20 @@ func (n *Netlist) AddBehavioral(node Node, dev Behavioral) {
 	n.behaviorals = append(n.behaviorals, behavioral{n: node, dev: dev})
 }
 
+// Every analysis grounds each free node through gmin (siemens) and runs
+// Newton to newtonTol (volts) within maxNewton iterations per solve.
+const (
+	gmin      = 1e-9
+	newtonTol = 1e-6
+	maxNewton = 100
+)
+
 // Options configures analyses.
 type Options struct {
 	// TEnd is the transient span.
 	TEnd float64
 	// Dt is the fixed step; TEnd/1000 if zero.
 	Dt float64
-	// Gmin is the per-free-node grounding conductance; 1e-9 if zero.
-	Gmin float64
-	// NewtonTol is the Newton voltage tolerance; 1e-6 V if zero.
-	NewtonTol float64
-	// MaxNewton bounds Newton iterations per solve; 100 if zero.
-	MaxNewton int
 	// Adaptive enables local-truncation-error step control: the step
 	// shrinks through fast edges and grows across quiet spans, bounded by
 	// [Dt/8, 16·Dt]. Waveforms then carry non-uniform time points.
@@ -192,15 +186,6 @@ type engine struct {
 }
 
 func (n *Netlist) prepare(opt Options) (*engine, error) {
-	if opt.Gmin == 0 {
-		opt.Gmin = 1e-9
-	}
-	if opt.NewtonTol == 0 {
-		opt.NewtonTol = 1e-6
-	}
-	if opt.MaxNewton == 0 {
-		opt.MaxNewton = 100
-	}
 	e := &engine{net: n, opt: opt}
 	e.freeIdx = make([]int, len(n.nodeNames))
 	for i := range e.freeIdx {
@@ -324,7 +309,7 @@ func (e *engine) stampAll() {
 		e.rhs[i] = 0
 	}
 	for _, f := range e.free {
-		e.mat.Add(e.perm[e.freeIdx[f]], e.perm[e.freeIdx[f]], e.opt.Gmin)
+		e.mat.Add(e.perm[e.freeIdx[f]], e.perm[e.freeIdx[f]], gmin)
 	}
 	for _, r := range e.net.resistors {
 		e.addG(r.a, r.b, r.g)
@@ -367,7 +352,7 @@ func (e *engine) stampAll() {
 
 // solveNewton iterates to convergence at the present time/dt configuration.
 func (e *engine) solveNewton() error {
-	for it := 0; it < e.opt.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		e.newton++
 		// Refresh driven node voltages.
 		for node, src := range e.net.driven {
@@ -392,7 +377,7 @@ func (e *engine) solveNewton() error {
 			}
 			e.v[f] = xi
 		}
-		if worst < e.opt.NewtonTol {
+		if worst < newtonTol {
 			return nil
 		}
 	}

@@ -19,37 +19,23 @@ import (
 	"xtverify/internal/extract"
 )
 
-// Options configures the analysis.
-type Options struct {
-	// ClockPeriod is the launch period (seconds); windows are not folded,
+// The standard 0.25 µm timing settings.
+const (
+	// clockPeriod is the launch period (seconds); windows are not folded,
 	// the period only scales the sequential launch uncertainty.
-	ClockPeriod float64
-	// ClkToQMin and ClkToQMax bound sequential output launch times.
-	ClkToQMin, ClkToQMax float64
-	// IntrinsicDelay is the per-gate fixed delay floor.
-	IntrinsicDelay float64
-	// DefaultSlew is used at launch points.
-	DefaultSlew float64
-}
-
-// DefaultOptions returns the standard 0.25 µm settings.
-func DefaultOptions() Options {
-	return Options{
-		ClockPeriod:    5e-9,
-		ClkToQMin:      80e-12,
-		ClkToQMax:      250e-12,
-		IntrinsicDelay: 25e-12,
-		DefaultSlew:    120e-12,
-	}
-}
+	clockPeriod = 5e-9
+	// clkToQMin and clkToQMax bound sequential output launch times.
+	clkToQMin, clkToQMax = 80e-12, 250e-12
+	// intrinsicDelay is the per-gate fixed delay floor.
+	intrinsicDelay = 25e-12
+	// defaultSlew is used at launch points.
+	defaultSlew = 120e-12
+)
 
 // Annotate computes and stores a switching window on every net of the
 // design, using the extracted capacitances as loads. It returns an error on
 // combinational cycles.
-func Annotate(d *design.Design, par *extract.Parasitics, opt Options) error {
-	if opt.ClockPeriod == 0 {
-		opt = DefaultOptions()
-	}
+func Annotate(d *design.Design, par *extract.Parasitics) error {
 	n := len(d.Nets)
 	if par == nil || len(par.Nets) != n {
 		return fmt.Errorf("sta: parasitics do not match design")
@@ -78,7 +64,7 @@ func Annotate(d *design.Design, par *extract.Parasitics, opt Options) error {
 		queue = queue[1:]
 		processed++
 		net := d.Nets[i]
-		early, late, slew := launchWindow(net, opt)
+		early, late, slew := launchWindow(net)
 		if len(net.Fanins) > 0 {
 			early, late = math.Inf(1), math.Inf(-1)
 			slew = 0
@@ -89,7 +75,7 @@ func Annotate(d *design.Design, par *extract.Parasitics, opt Options) error {
 				slew = math.Max(slew, w.Slew)
 			}
 		}
-		gd, outSlew := gateDelay(net, par.Nets[i], slew, opt)
+		gd, outSlew := gateDelay(net, par.Nets[i], slew)
 		net.Window = design.Window{
 			Early: early + gd,
 			Late:  late + gd,
@@ -150,20 +136,20 @@ func ApplyCouplingDeltas(d *design.Design, adj []WindowAdjustment) (int, error) 
 // launchWindow gives the arrival window at the driver input for nets without
 // fanins: clock nets launch at the edge; sequential outputs launch after
 // clk-to-q; primary-input-like nets get the full early clock region.
-func launchWindow(net *design.Net, opt Options) (early, late, slew float64) {
+func launchWindow(net *design.Net) (early, late, slew float64) {
 	if net.ClockNet {
-		return 0, 20e-12, opt.DefaultSlew / 2
+		return 0, 20e-12, defaultSlew / 2
 	}
 	drv := net.Drivers[0].Cell
 	if drv.Sequential {
-		return opt.ClkToQMin, opt.ClkToQMax, opt.DefaultSlew
+		return clkToQMin, clkToQMax, defaultSlew
 	}
-	return 0, 0.1 * opt.ClockPeriod, opt.DefaultSlew
+	return 0, 0.1 * clockPeriod, defaultSlew
 }
 
 // gateDelay estimates driver gate delay and output slew against the
 // extracted load, including an Elmore wire term to the farthest receiver.
-func gateDelay(net *design.Net, rc *extract.NetRC, inSlew float64, opt Options) (delay, outSlew float64) {
+func gateDelay(net *design.Net, rc *extract.NetRC, inSlew float64) (delay, outSlew float64) {
 	load := rc.TotalCapF()
 	// Use the cheaper closed-form drive resistance (characterization-free)
 	// for STA; the detailed models are reserved for cluster analysis.
@@ -174,10 +160,10 @@ func gateDelay(net *design.Net, rc *extract.NetRC, inSlew float64, opt Options) 
 	}
 	const ln2 = 0.6931471805599453
 	wire := elmoreWorst(rc)
-	delay = opt.IntrinsicDelay + inSlew/4 + ln2*(r*load+wire)
+	delay = intrinsicDelay + inSlew/4 + ln2*(r*load+wire)
 	outSlew = 2 * (ln2*r*load + wire)
-	if outSlew < opt.DefaultSlew/2 {
-		outSlew = opt.DefaultSlew / 2
+	if outSlew < defaultSlew/2 {
+		outSlew = defaultSlew / 2
 	}
 	return delay, outSlew
 }

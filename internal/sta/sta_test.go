@@ -18,7 +18,7 @@ func annotated(t *testing.T, cfg dsp.Config) (*design.Design, *extract.Parasitic
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Annotate(d, p, DefaultOptions()); err != nil {
+	if err := Annotate(d, p); err != nil {
 		t.Fatal(err)
 	}
 	return d, p
@@ -64,12 +64,11 @@ func TestFaninWidensWindow(t *testing.T) {
 
 func TestSequentialLaunchWindow(t *testing.T) {
 	d, _ := annotated(t, dsp.Config{Seed: 4, Channels: 1, TracksPerChannel: 80, ChannelLengthUM: 1000})
-	opt := DefaultOptions()
 	found := false
 	for _, n := range d.Nets {
 		if n.Drivers[0].Cell.Sequential && len(n.Fanins) == 0 && !n.IsBus() {
 			found = true
-			if n.Window.Early < opt.ClkToQMin {
+			if n.Window.Early < clkToQMin {
 				t.Errorf("sequential net %s early %g before clk-to-q min", n.Name, n.Window.Early)
 			}
 		}
@@ -106,7 +105,7 @@ func TestCycleDetection(t *testing.T) {
 	// Force a cycle.
 	d.Nets[0].Fanins = []int{1}
 	d.Nets[1].Fanins = []int{0}
-	if err := Annotate(d, p, DefaultOptions()); err == nil {
+	if err := Annotate(d, p); err == nil {
 		t.Error("cycle not detected")
 	}
 }
@@ -130,10 +129,10 @@ func TestLongerNetsHaveLaterWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Annotate(short, ps, DefaultOptions()); err != nil {
+	if err := Annotate(short, ps); err != nil {
 		t.Fatal(err)
 	}
-	if err := Annotate(long, pl, DefaultOptions()); err != nil {
+	if err := Annotate(long, pl); err != nil {
 		t.Fatal(err)
 	}
 	if long.Nets[0].Window.Late <= short.Nets[0].Window.Late {

@@ -78,9 +78,6 @@ type Model struct {
 type Options struct {
 	// Order is the maximum reduced order q. If zero, 4·p is used.
 	Order int
-	// Gmin overrides the MNA grounding conductance used during assembly
-	// diagnostics (informational only here; assembly happens in mna).
-	Gmin float64
 	// Check, when non-nil, is polled between block Lanczos iterations;
 	// a non-nil return aborts the reduction with that error. Used to
 	// honor context cancellation and per-cluster deadlines.

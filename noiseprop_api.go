@@ -59,7 +59,7 @@ func (v *Verifier) TraceGlitchContext(ctx context.Context, victim string) (*Prop
 	if -fall.PeakV > rise.PeakV {
 		res, quietHigh = fall, true
 	}
-	prop := noiseprop.New(v.par, noiseprop.Options{})
+	prop := noiseprop.New(v.par)
 	out, err := prop.Propagate(cl.Victim, res.ReceiverWave, quietHigh)
 	if err != nil {
 		return nil, err

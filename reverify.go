@@ -59,14 +59,17 @@ func (c Config) CanonicalConfigKey() string {
 	c.setDefaults()
 	var b strings.Builder
 	f := func(v float64) string { return strconv.FormatUint(math.Float64bits(v), 16) }
-	fmt.Fprintf(&b, "v1|m%d|fo%s|cr%s|tw%t|lc%t|gt%s|ma%d|ro%d|tr%t|st%t|ct%d|rr%d|rb%d|ds%t|sf%s",
+	fmt.Fprintf(&b, "v2|m%d|fo%s|cr%s|tw%t|lc%t|gt%s|tr%t|st%t|ct%d|rr%d|rb%d|ds%t|sf%s",
 		c.Model, f(c.FixedOhms), f(c.CapRatioThreshold),
 		c.UseTimingWindows, c.UseLogicCorrelation, f(c.GlitchThresholdFrac),
-		c.MaxAggressors, c.ReducedOrder, c.TransistorRecheck, c.Strict,
+		c.TransistorRecheck, c.Strict,
 		c.ClusterTimeout.Nanoseconds(), c.RungRetries, c.RungRetryBackoff.Nanoseconds(),
 		c.DisableScreening, f(c.ScreenSafetyFactor))
 	return b.String()
 }
+
+// maxAggressors caps cluster size at the paper's population.
+const maxAggressors = 12
 
 // pruneOptions is the one place the engine's clustering policy is spelled
 // out; runEngine, the analysis APIs and the reverify signatures must all
@@ -76,7 +79,7 @@ func (v *Verifier) pruneOptions() prune.Options {
 		CapRatioThreshold: v.cfg.CapRatioThreshold,
 		MinCouplingF:      0.5e-15,
 		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
+		MaxAggressors:     maxAggressors,
 	}
 }
 
@@ -120,8 +123,8 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 			buf = append(buf, 0)
 		}
 	}
-	// Gmin/order/decoupling variants are pinned by the config key, so the
-	// circuit-input form suffices here.
+	// Gmin/order/decoupling variants follow from the ladder's constants and
+	// the config key, so the circuit-input form suffices here.
 	buf = prune.AppendInputSignature(buf, v.par, cl)
 	members := cl.MemberNets() // victim first, then aggressors in rank order
 	num(len(members))

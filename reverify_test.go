@@ -256,8 +256,6 @@ func TestCanonicalConfigKey(t *testing.T) {
 		"UseTimingWindows":    func(c *Config) { c.UseTimingWindows = true },
 		"UseLogicCorrelation": func(c *Config) { c.UseLogicCorrelation = true },
 		"GlitchThresholdFrac": func(c *Config) { c.GlitchThresholdFrac = 0.2 },
-		"MaxAggressors":       func(c *Config) { c.MaxAggressors = 3 },
-		"ReducedOrder":        func(c *Config) { c.ReducedOrder = 6 },
 		"TransistorRecheck":   func(c *Config) { c.TransistorRecheck = true },
 		"Strict":              func(c *Config) { c.Strict = true },
 		"ClusterTimeout":      func(c *Config) { c.ClusterTimeout = 3 * time.Second },

@@ -31,13 +31,12 @@ import (
 	"sync"
 	"time"
 
-	"xtverify/internal/analytic"
+	"xtverify/internal/cells"
 	"xtverify/internal/deflite"
 	"xtverify/internal/design"
 	"xtverify/internal/devices"
 	"xtverify/internal/dsp"
 	"xtverify/internal/extract"
-	"xtverify/internal/glitch"
 	"xtverify/internal/spef"
 	"xtverify/internal/sta"
 	"xtverify/internal/verilog"
@@ -64,30 +63,18 @@ const (
 	NonlinearCellModel
 )
 
-// kind maps the public DriverModel onto the glitch engine's ModelKind.
-// The two enums are numbered differently (DriverModel reserves 0 for the
-// unset sentinel), so a direct cast would be wrong.
-func (m DriverModel) kind() glitch.ModelKind {
+// kind maps the public DriverModel onto the driver-model enum the glitch
+// engine and the rung-0 screen share. The two enums are numbered differently
+// (DriverModel reserves 0 for the unset sentinel), so a direct cast would be
+// wrong.
+func (m DriverModel) kind() cells.DriverModel {
 	switch m {
 	case FixedResistance:
-		return glitch.ModelFixedR
+		return cells.DriverFixedR
 	case TimingLibrary:
-		return glitch.ModelTimingLibrary
+		return cells.DriverTimingLibrary
 	default:
-		return glitch.ModelNonlinear
-	}
-}
-
-// boundModel maps the public DriverModel onto the analytic package's
-// driver-model enum for the rung-0 screen.
-func (m DriverModel) boundModel() analytic.DriverModel {
-	switch m {
-	case FixedResistance:
-		return analytic.DriverFixedR
-	case TimingLibrary:
-		return analytic.DriverTimingLibrary
-	default:
-		return analytic.DriverNonlinear
+		return cells.DriverNonlinear
 	}
 }
 
@@ -106,10 +93,6 @@ type Config struct {
 	// GlitchThresholdFrac flags victims whose glitch exceeds this fraction
 	// of Vdd (default 0.10, the paper's reporting floor).
 	GlitchThresholdFrac float64
-	// MaxAggressors caps cluster size (default 12, the paper's population).
-	MaxAggressors int
-	// ReducedOrder overrides the SyMPVL order (default 6·ports).
-	ReducedOrder int
 	// TransistorRecheck re-simulates every flagged violation with the
 	// transistor-level SPICE reference engine and records the confirmed
 	// peak. This implements the paper's stated future work ("extending it
@@ -205,16 +188,13 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	if c.FixedOhms == 0 {
-		c.FixedOhms = 1000
+		c.FixedOhms = cells.DefaultFixedOhms
 	}
 	if c.CapRatioThreshold == 0 {
 		c.CapRatioThreshold = 0.02
 	}
 	if c.GlitchThresholdFrac == 0 {
 		c.GlitchThresholdFrac = 0.10
-	}
-	if c.MaxAggressors == 0 {
-		c.MaxAggressors = 12
 	}
 	if c.ScreenSafetyFactor <= 0 {
 		// Negative factors would deflate the bound below its conservative
@@ -423,7 +403,7 @@ func newVerifier(d *design.Design, cfg Config) (*Verifier, error) {
 		return nil, err
 	}
 	if cfg.UseTimingWindows {
-		if err := sta.Annotate(d, par, sta.DefaultOptions()); err != nil {
+		if err := sta.Annotate(d, par); err != nil {
 			return nil, err
 		}
 	}
