@@ -18,6 +18,8 @@ import (
 	"xtverify/internal/cellmodel"
 	"xtverify/internal/cells"
 	"xtverify/internal/design"
+	"xtverify/internal/dsp"
+	"xtverify/internal/extract"
 	"xtverify/internal/glitch"
 	"xtverify/internal/prune"
 	"xtverify/internal/waveform"
@@ -463,4 +465,69 @@ func TestGoldenCharacterization(t *testing.T) {
 		}
 	}
 	checkGolden(t, "characterization", d.sum(), "c3a5a1e7e06f5c45d66f7d894bf26743f0e0b1295f015404177e05cbd73414a1")
+}
+
+// TestGoldenChipExtraction pins the extractor on a ten-channel chip, where
+// the channels' vertical METAL1 stubs share x-strips and the frontier index
+// must find couplings across the whole stack: every materialized coupling in
+// canonical order (four indices and the Farads bits) plus every net's
+// grounded capacitance, and the sorted couplings of a default-slack Streamer
+// fed the same nets. The smallDSP() goldens have one channel, so no strip
+// there is shared across channels.
+func TestGoldenChipExtraction(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	d, err := dsp.Generate(dsp.Config{Seed: 1999, Channels: 10, TracksPerChannel: 400,
+		ChannelLengthUM: 70, BusFraction: 0.05, LatchFraction: 0.25,
+		ClockSpines: 1, TrackPitchUM: 1.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	couplingDigest := func(cc []extract.Coupling) *goldenDigest {
+		g := newGoldenDigest()
+		g.num(len(cc))
+		for _, c := range cc {
+			g.num(c.NetA)
+			g.num(c.NodeA)
+			g.num(c.NetB)
+			g.num(c.NodeB)
+			g.f64(c.Farads)
+		}
+		return g
+	}
+
+	par, err := extract.Extract(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := couplingDigest(par.Couplings)
+	g.num(len(par.Nets))
+	for _, n := range par.Nets {
+		g.floats(n.CapF)
+	}
+	checkGolden(t, "materialized chip extraction", g.sum(), "359080b02184aaa28d80d021e0ff53dd8b21f12524dbdd72871b9e21337ff371")
+
+	s := extract.NewStreamer(nil, extract.DefaultFrontierSlackUM)
+	var streamed []extract.Coupling
+	for _, n := range d.Nets {
+		_, final, _, err := s.AddNet(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, final...)
+	}
+	s.Finish()
+	sort.Slice(streamed, func(i, j int) bool {
+		a, b := streamed[i], streamed[j]
+		if a.NetA != b.NetA {
+			return a.NetA < b.NetA
+		}
+		if a.NodeA != b.NodeA {
+			return a.NodeA < b.NodeA
+		}
+		if a.NetB != b.NetB {
+			return a.NetB < b.NetB
+		}
+		return a.NodeB < b.NodeB
+	})
+	checkGolden(t, "streamed chip extraction", couplingDigest(streamed).sum(), "1f39a588b168c8b8164ca4947cc570616fcf5e092feb8fac6cf7e49625505836")
 }
