@@ -621,9 +621,11 @@ func (s *Server) runJob(ctx context.Context, req *VerifyRequest, cfg xtverify.Co
 	if err != nil {
 		var pe *deflite.ParseError
 		var fe *extract.FrontierError
-		if errors.As(err, &pe) || errors.As(err, &fe) {
-			// A streamed job parses its DEF during the run, so malformed
-			// input surfaces here rather than at construction: still a 400.
+		var be *extract.PieceBudgetError
+		if errors.As(err, &pe) || errors.As(err, &fe) || errors.As(err, &be) {
+			// A streamed job parses and extracts its DEF during the run, so
+			// malformed or oversized input surfaces here rather than at
+			// construction: still a 400.
 			return nil, nil, http.StatusBadRequest, fmt.Errorf("parse def: %w", err)
 		}
 		return nil, nil, http.StatusInternalServerError, err

@@ -707,12 +707,31 @@ func TestMalformedDEFIs400(t *testing.T) {
 	x0 := route + strings.Index(def[route:], "( ") + 2
 	routeNaN := def[:x0] + "NaN" + def[x0+strings.Index(def[x0:], " "):]
 	nanOnlyRoute := def[:route] + "+ ROUTED METAL2 600 ( NaN 0 ) ( 1000 0 )" + def[route+strings.Index(def[route:], "\n;"):]
+	// Two hostile designs that once ran the daemon out of memory. The first
+	// is one METAL2 wire ending at x = 1.2·10¹⁴ DBU, which extraction would
+	// cut into about 5·10⁹ pieces; the parser rejects its coordinate. The
+	// second stays within the coordinate bound, but its nine wires from
+	// -10⁸ to 10⁸ µm come to 7.2·10⁷ pieces, past extract.PieceBudget.
+	hostile := func(route string) string {
+		return "VERSION 5.8 ;\nDESIGN hostile ;\nUNITS DISTANCE MICRONS 1000 ;\n" +
+			"COMPONENTS 2 ;\n- d INV_X1 + PLACED ( 0 0 ) N ;\n- r INV_X1 + PLACED ( 1000 0 ) N ;\nEND COMPONENTS\n" +
+			"NETS 1 ;\n- w ( d Z ) ( r A )\n" + route + ";\nEND NETS\nEND DESIGN\n"
+	}
+	farWire := hostile("+ ROUTED METAL2 600 ( 0 0 ) ( 120000000000000 0 )\n")
+	overBudget := hostile("+ ROUTED METAL2 600 ( -100000000000 0 ) ( 100000000000 0 )\n" +
+		strings.Repeat("NEW METAL2 600 ( -100000000000 0 ) ( 100000000000 0 )\n", 8))
 	_, ts := newTestServer(t, Options{})
-	for _, tc := range []struct{ name, def, msg string }{
-		{"duplicate net name", dupName, `duplicate net name "ch0/n0"`},
-		{"bad UNITS", badUnits, "bad UNITS"},
-		{"NaN route coordinate", routeNaN, `bad coordinate "NaN"`},
-		{"NaN-only route", nanOnlyRoute, `bad coordinate "NaN"`},
+	for _, tc := range []struct {
+		name, def, msg string
+		// parse marks a line-numbered DEF parse error.
+		parse bool
+	}{
+		{"duplicate net name", dupName, `duplicate net name "ch0/n0"`, true},
+		{"bad UNITS", badUnits, "bad UNITS", true},
+		{"NaN route coordinate", routeNaN, `bad coordinate "NaN"`, true},
+		{"NaN-only route", nanOnlyRoute, `bad coordinate "NaN"`, true},
+		{"coordinate beyond bound", farWire, `bad coordinate "120000000000000"`, true},
+		{"pieces beyond budget", overBudget, "wire pieces", false},
 	} {
 		for _, stream := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/stream=%t", tc.name, stream), func(t *testing.T) {
@@ -724,8 +743,8 @@ func TestMalformedDEFIs400(t *testing.T) {
 				if err := json.Unmarshal(raw, &body); err != nil {
 					t.Fatalf("bad error body: %v\n%s", err, raw)
 				}
-				if !strings.Contains(body.Error, "deflite: line ") || !strings.Contains(body.Error, tc.msg) {
-					t.Errorf("error %q lacks the line-numbered %q parse error", body.Error, tc.msg)
+				if !strings.Contains(body.Error, tc.msg) || tc.parse && !strings.Contains(body.Error, "deflite: line ") {
+					t.Errorf("error %q lacks %q (line-numbered parse error: %t)", body.Error, tc.msg, tc.parse)
 				}
 				health, err := http.Get(ts.URL + "/healthz")
 				if err != nil {

@@ -17,6 +17,7 @@ package deflite
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -63,6 +64,10 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // errNotFinite is the cause of a number that parses but is NaN or infinite
 // once converted to microns.
 var errNotFinite = errors.New("not a finite number")
+
+// errCoordRange is the cause of a placement or route coordinate beyond
+// ±design.MaxCoordUM once converted to microns.
+var errCoordRange = fmt.Errorf("beyond ±%g µm", design.MaxCoordUM)
 
 // perr builds a ParseError with a formatted message.
 func perr(line int, format string, args ...any) *ParseError {
@@ -233,6 +238,16 @@ func StreamRead(r io.Reader, sink Sink) error {
 		}
 		return um, nil
 	}
+	// toCoordUM is toUM for a placement or route coordinate, which must also
+	// lie within ±design.MaxCoordUM: a finite but huge one would have
+	// extraction cut a wire into billions of pieces.
+	toCoordUM := func(tok string) (float64, error) {
+		um, err := toUM(tok)
+		if err == nil && !(math.Abs(um) <= design.MaxCoordUM) {
+			return 0, errCoordRange
+		}
+		return um, err
+	}
 	flushNet := func() error {
 		if curNet != nil && started {
 			n := curNet
@@ -280,10 +295,10 @@ func StreamRead(r io.Reader, sink Sink) error {
 			if len(f) < 9 {
 				return perr(lineNo, "malformed component")
 			}
-			x, err1 := toUM(f[6])
-			y, err2 := toUM(f[7])
+			x, err1 := toCoordUM(f[6])
+			y, err2 := toCoordUM(f[7])
 			if err1 != nil || err2 != nil {
-				return perr(lineNo, "bad placement")
+				return &ParseError{Line: lineNo, Msg: "bad placement", Err: cmp.Or(err1, err2)}
 			}
 			cell, ok := cells.ByName(f[2])
 			if !ok {
@@ -344,7 +359,8 @@ func StreamRead(r io.Reader, sink Sink) error {
 			if !strings.HasPrefix(layerTok, "METAL") {
 				return perr(lineNo, "bad layer %q", layerTok)
 			}
-			layer, err := strconv.Atoi(strings.TrimPrefix(layerTok, "METAL"))
+			// The extractor keeps a layer in 32 bits.
+			layer, err := strconv.ParseInt(strings.TrimPrefix(layerTok, "METAL"), 10, 32)
 			if err != nil {
 				return perr(lineNo, "bad layer %q", layerTok)
 			}
@@ -361,7 +377,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 				if ci >= 4 {
 					break
 				}
-				v, err := toUM(tok)
+				v, err := toCoordUM(tok)
 				if err != nil {
 					return &ParseError{Line: lineNo, Msg: fmt.Sprintf("bad coordinate %q", tok), Err: err}
 				}
@@ -372,7 +388,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 				return perr(lineNo, "route needs 4 coordinates")
 			}
 			curNet.Route = append(curNet.Route, design.Segment{
-				Layer: layer, Width: width,
+				Layer: int(layer), Width: width,
 				X0: coords[0], Y0: coords[1], X1: coords[2], Y1: coords[3],
 			})
 		case f[0] == ";":

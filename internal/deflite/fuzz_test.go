@@ -21,9 +21,11 @@ func (validatingSink) AddNet(n *design.Net) error { return design.ValidateNet(n)
 // FuzzDEF throws arbitrary bytes at the DEF front end. Read and a streamed
 // parse with per-net validation must agree on accept or reject, every Read
 // rejection must be a typed *ParseError, and an accepted design may carry
-// only finite coordinates, widths and pin positions. Extraction is left
-// out: a finite but huge coordinate still makes extraction allocate without
-// bound, which parse-time limits have yet to prevent.
+// only finite widths, and only coordinates and pin positions within
+// ±design.MaxCoordUM. Extraction is left out: the coordinate bound and
+// extract.PieceBudget keep its indices exact and stop a net that would cut
+// into billions of pieces, but a design within both may still ask for
+// gigabytes.
 func FuzzDEF(f *testing.F) {
 	d, err := dsp.ParallelWires(2, 60, 1.2, []string{"INV_X2"}, "LATCH_X1")
 	if err != nil {
@@ -50,9 +52,9 @@ func FuzzDEF(f *testing.F) {
 			}
 			return
 		}
-		finite := func(v ...float64) bool {
+		inBound := func(v ...float64) bool {
 			for _, x := range v {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
+				if !(math.Abs(x) <= design.MaxCoordUM) {
 					return false
 				}
 			}
@@ -60,12 +62,12 @@ func FuzzDEF(f *testing.F) {
 		}
 		for _, n := range got.Nets {
 			for _, s := range n.Route {
-				if !finite(s.X0, s.Y0, s.X1, s.Y1, s.Width) {
+				if !inBound(s.X0, s.Y0, s.X1, s.Y1) || math.IsNaN(s.Width) || math.IsInf(s.Width, 0) {
 					t.Fatalf("net %q accepted with segment %+v", n.Name, s)
 				}
 			}
 			for _, p := range append(append([]design.Pin(nil), n.Drivers...), n.Receivers...) {
-				if !finite(p.PosX, p.PosY) {
+				if !inBound(p.PosX, p.PosY) {
 					t.Fatalf("net %q accepted with pin %s at (%g, %g)", n.Name, p.Inst, p.PosX, p.PosY)
 				}
 			}

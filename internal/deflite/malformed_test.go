@@ -108,6 +108,26 @@ var malformedDEF = []struct {
 		wantCause: errNotFinite,
 	},
 	{
+		name:      "route coordinate beyond bound",
+		src:       malformedHeader + malformedComp + "NETS 1 ;\n- n ( u1 Z )\n+ ROUTED METAL2 600 ( 0 0 ) ( 120000000000000 0 )\n",
+		wantLine:  9,
+		wantMsg:   `bad coordinate "120000000000000"`,
+		wantCause: errCoordRange,
+	},
+	{
+		name:      "placement beyond bound",
+		src:       malformedHeader + "COMPONENTS 1 ;\n- u1 INV_X1 + PLACED ( 0 -100000000001 ) N ;\n",
+		wantLine:  5,
+		wantMsg:   "bad placement",
+		wantCause: errCoordRange,
+	},
+	{
+		name:     "layer beyond 32 bits",
+		src:      malformedHeader + malformedComp + "NETS 1 ;\n- n ( u1 Z )\n+ ROUTED METAL4294967298 600 ( 0 0 ) ( 10 0 )\n",
+		wantLine: 9,
+		wantMsg:  `bad layer "METAL4294967298"`,
+	},
+	{
 		name:     "NaN placement",
 		src:      malformedHeader + "COMPONENTS 1 ;\n- u1 INV_X1 + PLACED ( 0 NaN ) N ;\n",
 		wantLine: 5,

@@ -7,9 +7,16 @@ package design
 
 import (
 	"fmt"
+	"math"
 
 	"xtverify/internal/cells"
 )
+
+// MaxCoordUM bounds the magnitude of every route and pin coordinate, in
+// micrometers. 100 m is far beyond any die (the 1M-net synthetic chip of the
+// streaming smoke spans about 2 m); the bound keeps the extractor's strip and
+// cell indices exact and lets it count a net's pieces before cutting them.
+const MaxCoordUM = 1e8
 
 // Segment is one straight Manhattan routing piece of a net, in micrometers.
 type Segment struct {
@@ -204,10 +211,19 @@ func ValidateNet(n *Net) error {
 		if s.Width <= 0 {
 			return fmt.Errorf("design: net %q has non-positive wire width", n.Name)
 		}
+		if !inBounds(s.X0, s.Y0, s.X1, s.Y1) {
+			return fmt.Errorf("design: net %q has a segment beyond ±%g µm", n.Name, MaxCoordUM)
+		}
+		if int(int32(s.Layer)) != s.Layer {
+			return fmt.Errorf("design: net %q has layer %d, beyond 32 bits", n.Name, s.Layer)
+		}
 	}
 	for _, p := range append(append([]Pin(nil), n.Drivers...), n.Receivers...) {
 		if p.Cell == nil {
 			return fmt.Errorf("design: net %q pin %s.%s has no cell", n.Name, p.Inst, p.Pin)
+		}
+		if !inBounds(p.PosX, p.PosY) {
+			return fmt.Errorf("design: net %q pin %s.%s lies beyond ±%g µm", n.Name, p.Inst, p.Pin, MaxCoordUM)
 		}
 	}
 	if n.IsBus() {
@@ -218,6 +234,17 @@ func ValidateNet(n *Net) error {
 		}
 	}
 	return nil
+}
+
+// inBounds reports whether every coordinate is within ±MaxCoordUM; NaN is
+// not.
+func inBounds(v ...float64) bool {
+	for _, x := range v {
+		if !(math.Abs(x) <= MaxCoordUM) {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats summarizes a design.

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -79,6 +80,27 @@ func TestValidate(t *testing.T) {
 	//xtlint:errcmp the test pins the human-facing message content, not the error identity
 	if err := bad3.Validate(); err == nil || !strings.Contains(err.Error(), "tri-state") {
 		t.Errorf("bad bus not caught: %v", err)
+	}
+}
+
+// TestValidateNetBounds: coordinates beyond ±MaxCoordUM (NaN included) and
+// layers beyond 32 bits are rejected, so an in-memory design cannot hand
+// extraction what DEF parsing refuses.
+func TestValidateNetBounds(t *testing.T) {
+	if err := ValidateNet(simpleNet("edge", "INV_X1", "INV_X1", MaxCoordUM)); err != nil {
+		t.Errorf("net reaching the bound rejected: %v", err)
+	}
+	for name, edit := range map[string]func(n *Net){
+		"far segment end": func(n *Net) { n.Route[0].X1 = 1.2e11 },
+		"NaN segment":     func(n *Net) { n.Route[0].Y0, n.Route[0].Y1 = math.NaN(), math.NaN() },
+		"far pin":         func(n *Net) { n.Receivers[0].PosY = -2 * MaxCoordUM },
+		"wide layer":      func(n *Net) { n.Route[0].Layer = math.MaxInt32 + 1 },
+	} {
+		n := simpleNet("x", "INV_X1", "INV_X1", 50)
+		edit(n)
+		if err := ValidateNet(n); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

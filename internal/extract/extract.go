@@ -175,13 +175,17 @@ func (p *Parasitics) AppendPartners(buf []Partner, i int) []Partner {
 	return buf
 }
 
-// piece is one ≤MaxSeg wire fragment prepared for coupling extraction.
+// piece is one ≤MaxSeg wire fragment prepared for coupling extraction, 48
+// bytes: PieceBudget keeps its indices in range.
 type piece struct {
-	net, nodeLo, nodeHi int
-	horizontal          bool
-	layer               int
-	fixed               float64 // y for horizontal, x for vertical
-	lo, hi              float64 // varying-coordinate range (lo < hi)
+	fixed  float64 // y for horizontal, x for vertical
+	lo, hi float64 // varying-coordinate range (lo < hi)
+
+	net, nodeLo, nodeHi int32
+	layer               int32
+	// seq is the piece's arrival sequence in its Streamer.
+	seq        uint32
+	horizontal bool
 }
 
 // Extract runs the extraction. It is the materialized front of the shared
@@ -251,18 +255,18 @@ func extractNet(net *design.Net, tech *Tech) (*NetRC, []piece) {
 			half := tech.CgFPerUM * pl / 2
 			rc.CapF[a] += half
 			rc.CapF[b] += half
-			pc := piece{net: net.Index, nodeLo: a, nodeHi: b, layer: seg.Layer, horizontal: seg.Horizontal()}
+			pc := piece{net: int32(net.Index), nodeLo: int32(a), nodeHi: int32(b), layer: int32(seg.Layer), horizontal: seg.Horizontal()}
 			if pc.horizontal {
 				pc.fixed = y0
 				pc.lo, pc.hi = math.Min(x0, x1), math.Max(x0, x1)
 				if x1 < x0 {
-					pc.nodeLo, pc.nodeHi = b, a
+					pc.nodeLo, pc.nodeHi = pc.nodeHi, pc.nodeLo
 				}
 			} else {
 				pc.fixed = x0
 				pc.lo, pc.hi = math.Min(y0, y1), math.Max(y0, y1)
 				if y1 < y0 {
-					pc.nodeLo, pc.nodeHi = b, a
+					pc.nodeLo, pc.nodeHi = pc.nodeHi, pc.nodeLo
 				}
 			}
 			pieces = append(pieces, pc)
