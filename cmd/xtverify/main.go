@@ -53,7 +53,7 @@ func run() int {
 		retries  = flag.Int("rung-retries", 0, "retries per fallback rung for transiently timed-out clusters")
 		romCap   = flag.Int("rom-cache-cap", 0, "in-memory ROM cache capacity in entries (0 = default)")
 		romDir   = flag.String("rom-store", "", "directory for the disk-persistent ROM cache (empty = in-memory only)")
-		stream   = flag.Bool("stream", false, "stream the design through bounded-memory ingest: clusters are verified while the input is still being read (identical report; incompatible with -windows and the materialized-only outputs)")
+		stream   = flag.Bool("stream", false, "stream the design through bounded-memory ingest: clusters are verified while the input is still being read (identical report; incompatible with -windows, -em and the design writers)")
 		streamSl = flag.Float64("stream-slack", 0, "frontier slack in µm for -stream (0 = default)")
 		metrics  = flag.String("metrics-out", "", "write the run's metrics snapshot to this JSON file")
 		pprofOn  = flag.String("pprof", "", "serve expvar/pprof on this address (e.g. :6060); metrics appear live at /debug/vars under \"xtverify\"")
@@ -83,7 +83,7 @@ func run() int {
 		}{
 			{*windows, "-windows"}, {*spefOut != "", "-spef"},
 			{*vlogOut != "", "-verilog"}, {*defOut != "", "-def"},
-			{*emFlag, "-em"}, {*timFlag, "-timing"},
+			{*emFlag, "-em"},
 		} {
 			if bad.set {
 				fmt.Fprintf(os.Stderr, "%s needs the materialized design and cannot be combined with -stream\n", bad.name)
@@ -138,18 +138,18 @@ func run() int {
 
 	var (
 		v   *xtverify.Verifier
+		in  *os.File
 		err error
 	)
 	if *defIn != "" {
-		f, err2 := os.Open(*defIn)
-		if err2 != nil {
-			fmt.Fprintln(os.Stderr, err2)
+		if in, err = os.Open(*defIn); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		// Under -stream the reader is consumed during RunContext, so the
-		// file must stay open until the run finishes.
-		defer f.Close()
-		v, err = xtverify.NewVerifierFromDEF(f, cfg)
+		// Under -stream the reader is consumed during every run, so the
+		// file must stay open until the last one finishes.
+		defer in.Close()
+		v, err = xtverify.NewVerifierFromDEF(in, cfg)
 	} else {
 		v, err = xtverify.NewVerifierFromDSP(dspCfg, cfg)
 	}
@@ -218,7 +218,14 @@ func run() int {
 		fmt.Printf("wrote metrics to %s\n", *metrics)
 	}
 	if *timFlag {
-		impacts, err := v.RunTimingImpact(true)
+		if in != nil {
+			// A streamed DEF verifier reads its input once per run.
+			if _, err := in.Seek(0, io.SeekStart); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 1
+			}
+		}
+		impacts, err := v.RunTimingImpactContext(ctx, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

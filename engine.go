@@ -1,7 +1,8 @@
 // engine.go is the fault-tolerant, parallel cluster-verification engine —
-// the one engine every run goes through, fed by one of two cluster sources:
-// the materialized source prunes a fully extracted chip, the streamed source
-// (stream_ingest.go) emits each cluster while the design is still being read.
+// one executor for the glitch run and the timing analyses, fed by one of two
+// cluster sources: the materialized source prunes a fully extracted chip,
+// the streamed source (stream_ingest.go) emits each cluster while the design
+// is still being read.
 //
 // The chip-level loop's whole value is coverage: a full-chip run over
 // thousands of coupled clusters must not die because one pathological
@@ -168,7 +169,7 @@ type clusterUnit struct {
 }
 
 // emitFunc hands one cluster, keyed by its victim's global net index, to the
-// engine. It blocks while every worker is busy — which is what bounds
+// executor. It blocks while every worker is busy — which is what bounds
 // in-flight memory under a fast streamed source — and returns an error only
 // when the run is being aborted; the source must then stop and return it.
 type emitFunc func(victim int, u clusterUnit) error
@@ -185,7 +186,7 @@ type sourceInfo struct {
 // engineJob is one emitted cluster travelling from the source to a worker:
 // the analysis views plus the slot the worker's result lands in. The source
 // goroutine appends every job to the run's list before sending it, the
-// worker writes res after receiving, and assembly reads after the pool
+// worker writes res after receiving, and the caller reads after the pool
 // drains — each handoff carries the needed happens-before edge.
 type engineJob struct {
 	victim int
@@ -198,16 +199,18 @@ type engineJob struct {
 	res  *clusterResult
 }
 
-// clusterResult is one worker's output for one cluster.
+// clusterResult is one worker's output for one cluster: impact for the
+// delay analysis, the other fields for the glitch analysis.
 type clusterResult struct {
 	outcome   ClusterOutcome
 	violation *Violation
 	// trace is the cluster's observability record, nil when no collector
 	// is configured. It is merged into the collector serially, in cluster
 	// order, during result assembly.
-	trace *obs.Trace
-	// err is the fail-fast error for strict mode, wrapped exactly like the
-	// historical serial loop wrapped it.
+	trace  *obs.Trace
+	impact *glitch.TimingImpact
+	// err fails the run fast (the glitch ladder sets it in strict mode
+	// only), wrapped exactly like the historical serial loop wrapped it.
 	err error
 }
 
@@ -302,26 +305,108 @@ func (v *Verifier) recordCacheDeltas(cs cacheState, diag *Diagnostics, col *Metr
 	}
 }
 
-// runEngine is the one verification engine. It starts the worker pool, has
-// the verifier's cluster source hand every cluster to one emit function —
-// the materialized source after pruning the whole chip, the streamed source
-// while ingest is still running — then sorts the results back into global
-// victim order and assembles the report once.
+// poolSize resolves Config.Workers: zero or negative means GOMAXPROCS.
+func poolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// runEngine is the glitch run: the executor runs the glitch ladder on every
+// cluster, then the report is assembled once.
 func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) {
 	col := v.cfg.Collector
 	baseOpts := v.baseGlitchOptions()
 	cs := v.setupEngineCaches(&baseOpts)
-	workers := p.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
+	jobs, info, err := v.runClusters(ctx, p, func(ctx context.Context, u clusterUnit) *clusterResult {
+		return v.analyzeCluster(ctx, baseOpts, u, p)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
+	// Diagnostics.Workers appears in the report, so it is clamped to the
+	// cluster total (spliced clusters included): a run's report must not
+	// depend on whether its source knew that total up front, and a spliced
+	// report must match a cold run's byte for byte.
+	workers := max(1, min(poolSize(p.workers), len(jobs)))
+	diag := &Diagnostics{Workers: workers, Strict: p.strict}
+	rep := &Report{DesignName: info.name, NetCount: info.nets, AnalyzedVictims: len(jobs)}
+	if !v.cfg.DisableScreening {
+		rep.Screening = &ScreeningSummary{
+			SafetyFactor: v.cfg.ScreenSafetyFactor,
+			MarginV:      v.cfg.GlitchThresholdFrac * Vdd,
+		}
+	}
+	// One pass in victim order: every list below is deterministic and
+	// identical between serial and parallel runs.
+	sizes := make([]int, len(jobs))
+	for i, j := range jobs {
+		r := j.res
+		sizes[i] = j.size
+		diag.Clusters = append(diag.Clusters, r.outcome)
+		// Serial, cluster-order merge: this is what makes the aggregated
+		// counter totals identical between serial and Workers=N runs.
+		col.MergeTrace(r.outcome.Victim, r.outcome.Stage.String(), r.trace)
+		if r.outcome.Err != nil {
+			diag.Unverified++
+		} else {
+			diag.Verified++
+			// Screened clusters are rung 0, not a degradation: the ladder
+			// never ran for them.
+			if r.outcome.Stage != StageReduced && r.outcome.Stage != StageScreened {
+				diag.Degraded++
+			}
+		}
+		if r.violation != nil {
+			rep.Violations = append(rep.Violations, *r.violation)
+		}
+		if scr := rep.Screening; scr != nil && r.outcome.Stage == StageScreened {
+			scr.Screened++
+			scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: r.outcome.Victim, BoundV: r.outcome.ScreenBoundV})
+		}
+	}
+	stats := prune.Summarize(info.rawSizes, sizes)
+	rep.Prune = PruneSummary{
+		RawMeanClusterNets:    stats.RawMeanSize,
+		RawMaxClusterNets:     stats.RawMaxSize,
+		PrunedMeanClusterNets: stats.PrunedMeanSize,
+		PrunedMaxClusterNets:  stats.PrunedMaxSize,
+		ClustersAnalyzed:      stats.PrunedClusters,
+	}
+	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
+	v.recordCacheDeltas(cs, diag, col)
+	if col != nil {
+		col.SetWorkers(workers)
+		col.SetWallTime(diag.WallTime)
+		diag.Metrics = col.Snapshot()
+	}
+	rep.Diagnostics = diag
+	sort.Slice(rep.Violations, func(i, j int) bool {
+		if rep.Violations[i].FracVdd != rep.Violations[j].FracVdd {
+			return rep.Violations[i].FracVdd > rep.Violations[j].FracVdd
+		}
+		return rep.Violations[i].Victim < rep.Violations[j].Victim
+	})
+	return rep, nil
+}
+
+// runClusters is the one cluster executor. It starts the worker pool, has
+// the verifier's cluster source hand every cluster to one emit function —
+// the materialized source after pruning the whole chip, the streamed source
+// while ingest is still running — and runs analyze on each: the glitch
+// ladder or the delay impact. It returns the jobs, results set, in global
+// victim order; a result with err set fails the run fast.
+func (v *Verifier) runClusters(ctx context.Context, p runParams,
+	analyze func(ctx context.Context, u clusterUnit) *clusterResult) ([]*engineJob, sourceInfo, error) {
+	col := v.cfg.Collector
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	jobCh := make(chan *engineJob)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := poolSize(p.workers); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -330,13 +415,13 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) 
 					continue // run aborted: leave the slot unattempted
 				}
 				col.TaskStarted()
-				j.res = v.analyzeCluster(runCtx, baseOpts, j.unit, p)
+				j.res = analyze(runCtx, j.unit)
 				// Release the views: a streamed component's mini design and
 				// parasitics are garbage once its clusters are analyzed, and
-				// report assembly only reads res and size.
+				// the caller only reads res, size and victim.
 				j.unit = clusterUnit{}
 				col.TaskDone()
-				if p.strict && j.res.err != nil {
+				if j.res.err != nil {
 					cancel() // fail fast: stop the source and drain
 				}
 			}
@@ -374,118 +459,40 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) 
 
 	// Caller cancellation or deadline wins over any per-cluster outcome.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, info, err
 	}
 	// Back into global victim order — the materialized source's emission
-	// order, which every report field and counter merge below assumes.
-	// Victims are unique: each net is the victim of at most one cluster.
+	// order, which every result the callers assemble assumes. Victims are
+	// unique: each net is the victim of at most one cluster.
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].victim < jobs[b].victim })
-	if p.strict {
-		// Report the earliest genuine failure in cluster order, exactly as
-		// the serial loop did; skip casualties of our own fail-fast cancel.
-		var firstAny error
-		for _, j := range jobs {
-			if j.res == nil || j.res.err == nil {
-				continue
-			}
-			if !errors.Is(j.res.err, context.Canceled) {
-				return nil, j.res.err
-			}
-			if firstAny == nil {
-				firstAny = j.res.err
-			}
+	// Report the earliest genuine failure in victim order, exactly as a
+	// serial loop would; skip casualties of our own fail-fast cancel.
+	var firstAny error
+	for _, j := range jobs {
+		if j.res == nil || j.res.err == nil {
+			continue
 		}
-		if firstAny != nil {
-			return nil, firstAny
+		if !errors.Is(j.res.err, context.Canceled) {
+			return nil, info, j.res.err
 		}
+		if firstAny == nil {
+			firstAny = j.res.err
+		}
+	}
+	if firstAny != nil {
+		return nil, info, firstAny
 	}
 	if serr != nil {
 		// A source failure: a typed parse or frontier error, or the echo of
 		// our own fail-fast cancellation (whose cause was returned above).
-		return nil, serr
+		return nil, info, serr
 	}
-
-	sizes := make([]int, len(jobs))
-	for i, j := range jobs {
-		sizes[i] = j.size
-	}
-	stats := prune.Summarize(info.rawSizes, sizes)
-	rep := &Report{
-		DesignName: info.name,
-		NetCount:   info.nets,
-		Prune: PruneSummary{
-			RawMeanClusterNets:    stats.RawMeanSize,
-			RawMaxClusterNets:     stats.RawMaxSize,
-			PrunedMeanClusterNets: stats.PrunedMeanSize,
-			PrunedMaxClusterNets:  stats.PrunedMaxSize,
-			ClustersAnalyzed:      stats.PrunedClusters,
-		},
-	}
-	// Diagnostics.Workers appears in the report, so it is clamped to the
-	// cluster total (spliced clusters included): a run's report must not
-	// depend on whether its source knew that total up front, and a spliced
-	// report must match a cold run's byte for byte.
-	workers = max(1, min(workers, len(jobs)))
-	diag := &Diagnostics{Workers: workers, Strict: p.strict}
-	for _, j := range jobs {
-		r := j.res
-		if r == nil {
-			continue
-		}
-		rep.AnalyzedVictims++
-		diag.Clusters = append(diag.Clusters, r.outcome)
-		// Serial, cluster-order merge: this is what makes the aggregated
-		// counter totals identical between serial and Workers=N runs.
-		col.MergeTrace(r.outcome.Victim, r.outcome.Stage.String(), r.trace)
-		if r.outcome.Err != nil {
-			diag.Unverified++
-		} else {
-			diag.Verified++
-			// Screened clusters are rung 0, not a degradation: the ladder
-			// never ran for them.
-			if r.outcome.Stage != StageReduced && r.outcome.Stage != StageScreened {
-				diag.Degraded++
-			}
-		}
-		if r.violation != nil {
-			rep.Violations = append(rep.Violations, *r.violation)
-		}
-	}
-	if !v.cfg.DisableScreening {
-		scr := &ScreeningSummary{
-			SafetyFactor: v.cfg.ScreenSafetyFactor,
-			MarginV:      v.cfg.GlitchThresholdFrac * Vdd,
-		}
-		// Victim (cluster) order, like Diagnostics.Clusters — deterministic
-		// and identical between serial and parallel runs.
-		for _, j := range jobs {
-			if r := j.res; r != nil && r.outcome.Stage == StageScreened {
-				scr.Screened++
-				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: r.outcome.Victim, BoundV: r.outcome.ScreenBoundV})
-			}
-		}
-		rep.Screening = scr
-	}
-	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
-	v.recordCacheDeltas(cs, diag, col)
 	if p.reuse != nil {
 		col.Add(obs.CtrReverifyJobs, 1)
 		col.Add(obs.CtrClustersReused, reused)
 		col.Add(obs.CtrClustersRecomputed, int64(len(jobs))-reused)
 	}
-	if col != nil {
-		col.SetWorkers(workers)
-		col.SetWallTime(diag.WallTime)
-		diag.Metrics = col.Snapshot()
-	}
-	rep.Diagnostics = diag
-	sort.Slice(rep.Violations, func(i, j int) bool {
-		if rep.Violations[i].FracVdd != rep.Violations[j].FracVdd {
-			return rep.Violations[i].FracVdd > rep.Violations[j].FracVdd
-		}
-		return rep.Violations[i].Victim < rep.Violations[j].Victim
-	})
-	return rep, nil
+	return jobs, info, nil
 }
 
 // materializedClusters is the materialized cluster source: it clusters the

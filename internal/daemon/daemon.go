@@ -30,6 +30,7 @@ import (
 
 	"xtverify"
 	"xtverify/internal/deflite"
+	"xtverify/internal/design"
 	"xtverify/internal/dsp"
 	"xtverify/internal/extract"
 )
@@ -398,8 +399,9 @@ func (s *Server) admit(ctx context.Context) (release func(), status int) {
 }
 
 // decodeJob applies the checks every job request shares — POST only, no new
-// jobs while draining, a bounded body strictly decoded into req — and
-// answers a failed check itself. It reports whether the request survived.
+// jobs while draining, a bounded body (413 past maxRequestBytes) strictly
+// decoded into req — and answers a failed check itself. It reports whether
+// the request survived.
 func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
@@ -412,7 +414,12 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request, req any) bool
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{"bad request: " + err.Error()})
 		return false
 	}
 	return true
@@ -539,6 +546,11 @@ func (s *Server) jobConfig(req *VerifyRequest) (xtverify.Config, string) {
 		req.TimeoutMS < 0 || req.ScreenSafetyFactor < 0 {
 		return cfg, "negative value"
 	}
+	if req.DSP != nil {
+		if bad := req.DSP.outOfRange(); bad != "" {
+			return cfg, bad
+		}
+	}
 	if req.FixedOhms > 0 {
 		cfg.FixedOhms = req.FixedOhms
 	}
@@ -622,10 +634,11 @@ func (s *Server) runJob(ctx context.Context, req *VerifyRequest, cfg xtverify.Co
 		var pe *deflite.ParseError
 		var fe *extract.FrontierError
 		var be *extract.PieceBudgetError
-		if errors.As(err, &pe) || errors.As(err, &fe) || errors.As(err, &be) {
-			// A streamed job parses and extracts its DEF during the run, so
-			// malformed or oversized input surfaces here rather than at
-			// construction: still a 400.
+		var ne *design.NetError
+		if errors.As(err, &pe) || errors.As(err, &fe) || errors.As(err, &be) || errors.As(err, &ne) {
+			// A streamed job parses, validates and extracts its DEF during
+			// the run, so malformed or oversized input surfaces here rather
+			// than at construction: still a 400.
 			return nil, nil, http.StatusBadRequest, fmt.Errorf("parse def: %w", err)
 		}
 		return nil, nil, http.StatusInternalServerError, err

@@ -712,14 +712,17 @@ func TestMalformedDEFIs400(t *testing.T) {
 	// cut into about 5·10⁹ pieces; the parser rejects its coordinate. The
 	// second stays within the coordinate bound, but its nine wires from
 	// -10⁸ to 10⁸ µm come to 7.2·10⁷ pieces, past extract.PieceBudget.
-	hostile := func(route string) string {
+	hostile := func(pins, route string) string {
 		return "VERSION 5.8 ;\nDESIGN hostile ;\nUNITS DISTANCE MICRONS 1000 ;\n" +
 			"COMPONENTS 2 ;\n- d INV_X1 + PLACED ( 0 0 ) N ;\n- r INV_X1 + PLACED ( 1000 0 ) N ;\nEND COMPONENTS\n" +
-			"NETS 1 ;\n- w ( d Z ) ( r A )\n" + route + ";\nEND NETS\nEND DESIGN\n"
+			"NETS 1 ;\n- w " + pins + "\n" + route + ";\nEND NETS\nEND DESIGN\n"
 	}
-	farWire := hostile("+ ROUTED METAL2 600 ( 0 0 ) ( 120000000000000 0 )\n")
-	overBudget := hostile("+ ROUTED METAL2 600 ( -100000000000 0 ) ( 100000000000 0 )\n" +
+	farWire := hostile("( d Z ) ( r A )", "+ ROUTED METAL2 600 ( 0 0 ) ( 120000000000000 0 )\n")
+	overBudget := hostile("( d Z ) ( r A )", "+ ROUTED METAL2 600 ( -100000000000 0 ) ( 100000000000 0 )\n"+
 		strings.Repeat("NEW METAL2 600 ( -100000000000 0 ) ( 100000000000 0 )\n", 8))
+	// A net with only a receiver pin parses, but fails design validation:
+	// at construction when materialized, during the run when streamed.
+	receiverOnly := hostile("( r A )", "+ ROUTED METAL2 600 ( 0 0 ) ( 1000 0 )\n")
 	_, ts := newTestServer(t, Options{})
 	for _, tc := range []struct {
 		name, def, msg string
@@ -732,6 +735,7 @@ func TestMalformedDEFIs400(t *testing.T) {
 		{"NaN-only route", nanOnlyRoute, `bad coordinate "NaN"`, true},
 		{"coordinate beyond bound", farWire, `bad coordinate "120000000000000"`, true},
 		{"pieces beyond budget", overBudget, "wire pieces", false},
+		{"receiver-only net", receiverOnly, `net "w" has no driver`, false},
 	} {
 		for _, stream := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/stream=%t", tc.name, stream), func(t *testing.T) {
@@ -746,15 +750,107 @@ func TestMalformedDEFIs400(t *testing.T) {
 				if !strings.Contains(body.Error, tc.msg) || tc.parse && !strings.Contains(body.Error, "deflite: line ") {
 					t.Errorf("error %q lacks %q (line-numbered parse error: %t)", body.Error, tc.msg, tc.parse)
 				}
-				health, err := http.Get(ts.URL + "/healthz")
-				if err != nil {
-					t.Fatal(err)
-				}
-				health.Body.Close()
-				if health.StatusCode != http.StatusOK {
-					t.Errorf("healthz after the rejected job = %d, want 200", health.StatusCode)
-				}
+				checkHealthy(t, ts)
 			})
 		}
+	}
+}
+
+// checkHealthy asserts /healthz answers 200 after a rejected request.
+func checkHealthy(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the rejected request = %d, want 200", health.StatusCode)
+	}
+}
+
+// spaces is an endless reader of JSON whitespace, so an oversize body costs
+// the client no memory.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyIs413: a job body one byte past maxRequestBytes answers
+// 413 on both job endpoints, and the daemon stays healthy.
+func TestOversizeBodyIs413(t *testing.T) {
+	faultinject.LeakCheck(t)
+	_, ts := newTestServer(t, Options{})
+	for _, path := range []string{"/v1/verify", "/v1/reverify"} {
+		t.Run(path, func(t *testing.T) {
+			body := io.MultiReader(io.LimitReader(spaces{}, maxRequestBytes+1), strings.NewReader("{}"))
+			resp, err := http.Post(ts.URL+path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("status = %d, want 413: %s", resp.StatusCode, raw)
+			}
+			checkHealthy(t, ts)
+		})
+	}
+	if m := getMetrics(t, ts); m.Jobs.Accepted != 0 {
+		t.Errorf("oversize requests were admitted: %+v", m.Jobs)
+	}
+}
+
+// TestDSPRequestRanges pins the DSP field ranges: every request the repo's
+// tests, CI and README send lies inside them, each field is checked at both
+// ends, and an out-of-range field answers 400 naming it before anything is
+// generated.
+func TestDSPRequestRanges(t *testing.T) {
+	faultinject.LeakCheck(t)
+	for _, tc := range []struct {
+		name string
+		req  DSPRequest
+		bad  string // the field named, "" when in range
+	}{
+		{"tinyJob", *tinyJob().DSP, ""},
+		{"CI smoke", DSPRequest{Seed: 77, Channels: 1, TracksPerChannel: 40, ChannelLengthUM: 1000, LatchFraction: 0.3, ClockSpines: 1}, ""},
+		{"README", DSPRequest{Seed: 1999, Channels: 2, TracksPerChannel: 105}, ""},
+		{"all defaults", DSPRequest{Seed: -5}, ""},
+		{"every limit", DSPRequest{Channels: maxDSPChannels, TracksPerChannel: maxDSPTracks, ChannelLengthUM: maxDSPChannelLengthUM,
+			BusFraction: 1, LatchFraction: 1, ComplementaryFraction: 1, ClockSpines: maxDSPClockSpines}, ""},
+		{"negative channels", DSPRequest{Channels: -1}, "channels"},
+		{"too many channels", DSPRequest{Channels: maxDSPChannels + 1}, "channels"},
+		{"too many tracks", DSPRequest{TracksPerChannel: maxDSPTracks + 1}, "tracks_per_channel"},
+		{"negative tracks", DSPRequest{TracksPerChannel: -40}, "tracks_per_channel"},
+		{"channel too long", DSPRequest{ChannelLengthUM: 1e300}, "channel_length_um"},
+		{"negative length", DSPRequest{ChannelLengthUM: -1}, "channel_length_um"},
+		{"bus fraction", DSPRequest{BusFraction: 2}, "bus_fraction"},
+		{"latch fraction", DSPRequest{LatchFraction: -0.1}, "latch_fraction"},
+		{"complementary fraction", DSPRequest{ComplementaryFraction: 1.5}, "complementary_fraction"},
+		{"too many spines", DSPRequest{ClockSpines: maxDSPClockSpines + 1}, "clock_spines"},
+	} {
+		got := tc.req.outOfRange()
+		if tc.bad == "" && got != "" || tc.bad != "" && !strings.HasPrefix(got, "dsp."+tc.bad+" ") {
+			t.Errorf("%s: outOfRange() = %q, want the field %q named", tc.name, got, tc.bad)
+		}
+	}
+
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(`{"dsp":{"seed":1,"bus_fraction":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "dsp.bus_fraction") {
+		t.Errorf("bus_fraction 2: status %d %s, want 400 naming dsp.bus_fraction", resp.StatusCode, raw)
+	}
+	checkHealthy(t, ts)
+	if m := getMetrics(t, ts); m.Jobs.Accepted != 0 {
+		t.Errorf("an out-of-range job was admitted: %+v", m.Jobs)
 	}
 }

@@ -81,6 +81,41 @@ func (j *cachedJob) baseRun() (*xtverify.BaseRun, error) {
 	return j.base, j.baseErr
 }
 
+// Size limits of a DSP request. At the largest channel and track counts,
+// with the most clock spines, the generator's y coordinates reach about
+// 1024·(1024·1.2 µm + 60 µm) + 64·1.2 µm ≈ 1.3·10⁶ µm, and x stays within
+// the channel length: both far inside design.MaxCoordUM (10⁸ µm).
+const (
+	maxDSPChannels        = 1024
+	maxDSPTracks          = 1024
+	maxDSPChannelLengthUM = 1e5
+	maxDSPClockSpines     = 64
+)
+
+// outOfRange names the first field of r outside its range, "" when every
+// field is in range. Zero means the default; sizes are bounded by the
+// limits above and fractions lie in [0, 1]. The daemon checks before
+// generating anything.
+func (r *DSPRequest) outOfRange() string {
+	for _, f := range []struct {
+		name     string
+		val, max float64
+	}{
+		{"channels", float64(r.Channels), maxDSPChannels},
+		{"tracks_per_channel", float64(r.TracksPerChannel), maxDSPTracks},
+		{"channel_length_um", r.ChannelLengthUM, maxDSPChannelLengthUM},
+		{"bus_fraction", r.BusFraction, 1},
+		{"latch_fraction", r.LatchFraction, 1},
+		{"complementary_fraction", r.ComplementaryFraction, 1},
+		{"clock_spines", float64(r.ClockSpines), maxDSPClockSpines},
+	} {
+		if !(f.val >= 0 && f.val <= f.max) {
+			return fmt.Sprintf("dsp.%s (must lie in [0, %g])", f.name, f.max)
+		}
+	}
+	return ""
+}
+
 // resolveDSP applies the paper-scale defaults to a DSP request, exactly as
 // the job runner builds the generator config — the design key must describe
 // the design that would actually be generated.

@@ -177,13 +177,21 @@ func (d *Design) AreComplementary(a, b int) bool {
 	return false
 }
 
-// Validate checks structural sanity of the design.
+// Validate checks structural sanity of the design: every net's invariants
+// (ValidateNet), then the design-level ones (ValidatePairs).
 func (d *Design) Validate() error {
 	for _, n := range d.Nets {
 		if err := ValidateNet(n); err != nil {
 			return err
 		}
 	}
+	return d.ValidatePairs()
+}
+
+// ValidatePairs checks the one invariant no single net can: every
+// complementary pair names nets of the design. Extraction validates each
+// net as it extracts it and runs only this check on the design.
+func (d *Design) ValidatePairs() error {
 	for _, p := range d.Complementary {
 		for _, i := range p {
 			if i < 0 || i >= len(d.Nets) {
@@ -194,42 +202,57 @@ func (d *Design) Validate() error {
 	return nil
 }
 
+// NetError is a net that breaks one of ValidateNet's invariants.
+type NetError struct {
+	// Net is the offending net's name.
+	Net string
+	// Problem says what is wrong, e.g. "has no driver".
+	Problem string
+}
+
+func (e *NetError) Error() string { return fmt.Sprintf("design: net %q %s", e.Net, e.Problem) }
+
 // ValidateNet checks the per-net invariants Validate enforces, for callers
 // that receive nets one at a time (the streaming ingest path) and never hold
-// a whole Design to validate.
+// a whole Design to validate. A failure is a *NetError; a valid net costs no
+// allocation.
 func ValidateNet(n *Net) error {
+	bad := func(problem string) error { return &NetError{Net: n.Name, Problem: problem} }
 	if len(n.Drivers) == 0 {
-		return fmt.Errorf("design: net %q has no driver", n.Name)
+		return bad("has no driver")
 	}
 	if len(n.Route) == 0 {
-		return fmt.Errorf("design: net %q has no route", n.Name)
+		return bad("has no route")
 	}
 	for _, s := range n.Route {
 		if s.X0 != s.X1 && s.Y0 != s.Y1 {
-			return fmt.Errorf("design: net %q has a non-Manhattan segment", n.Name)
+			return bad("has a non-Manhattan segment")
 		}
 		if s.Width <= 0 {
-			return fmt.Errorf("design: net %q has non-positive wire width", n.Name)
+			return bad("has non-positive wire width")
 		}
 		if !inBounds(s.X0, s.Y0, s.X1, s.Y1) {
-			return fmt.Errorf("design: net %q has a segment beyond ±%g µm", n.Name, MaxCoordUM)
+			return bad(fmt.Sprintf("has a segment beyond ±%g µm", MaxCoordUM))
 		}
 		if int(int32(s.Layer)) != s.Layer {
-			return fmt.Errorf("design: net %q has layer %d, beyond 32 bits", n.Name, s.Layer)
+			return bad(fmt.Sprintf("has layer %d, beyond 32 bits", s.Layer))
 		}
 	}
-	for _, p := range append(append([]Pin(nil), n.Drivers...), n.Receivers...) {
-		if p.Cell == nil {
-			return fmt.Errorf("design: net %q pin %s.%s has no cell", n.Name, p.Inst, p.Pin)
-		}
-		if !inBounds(p.PosX, p.PosY) {
-			return fmt.Errorf("design: net %q pin %s.%s lies beyond ±%g µm", n.Name, p.Inst, p.Pin, MaxCoordUM)
+	for _, pins := range [...][]Pin{n.Drivers, n.Receivers} {
+		for i := range pins {
+			p := &pins[i]
+			if p.Cell == nil {
+				return bad(fmt.Sprintf("pin %s.%s has no cell", p.Inst, p.Pin))
+			}
+			if !inBounds(p.PosX, p.PosY) {
+				return bad(fmt.Sprintf("pin %s.%s lies beyond ±%g µm", p.Inst, p.Pin, MaxCoordUM))
+			}
 		}
 	}
 	if n.IsBus() {
 		for _, p := range n.Drivers {
 			if !p.Cell.TriState {
-				return fmt.Errorf("design: bus net %q driven by non-tri-state cell %s", n.Name, p.Cell.Name)
+				return bad("is a bus driven by non-tri-state cell " + p.Cell.Name)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -98,9 +99,26 @@ func TestValidateNetBounds(t *testing.T) {
 	} {
 		n := simpleNet("x", "INV_X1", "INV_X1", 50)
 		edit(n)
-		if err := ValidateNet(n); err == nil {
-			t.Errorf("%s accepted", name)
+		var ne *NetError
+		if err := ValidateNet(n); !errors.As(err, &ne) || ne.Net != "x" {
+			t.Errorf("%s: ValidateNet = %v, want a *NetError for net x", name, err)
 		}
+	}
+}
+
+// TestValidateNetAllocatesNothing: a valid net, bus drivers and several
+// receivers included, is checked without copying its pins.
+func TestValidateNetAllocatesNothing(t *testing.T) {
+	n := simpleNet("bus", "TBUF_X2", "INV_X1", 100)
+	tb, _ := cells.ByName("TBUF_X4")
+	n.Drivers = append(n.Drivers, Pin{Inst: "d2", Cell: tb, Pin: "Z"})
+	n.Receivers = append(n.Receivers, n.Receivers[0])
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := ValidateNet(n); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ValidateNet allocates %.0f times per valid net, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -38,10 +39,14 @@ func RunTimingImpact(cfg dsp.Config, maxVictims int) (*TimingImpactResult, error
 	eng := glitch.NewEngine(par, glitch.Options{
 		Model: glitch.ModelTimingLibrary, TEnd: 8e-9, Dt: 2e-12, OrderFactor: 3,
 	})
-	impacts, err := eng.TimingImpactReport(clusters, true)
-	if err != nil {
-		return nil, err
+	impacts := make([]glitch.TimingImpact, len(clusters))
+	for i, cl := range clusters {
+		//xtlint:background a repro study runs to completion; no caller holds a context
+		if impacts[i], err = eng.DelayImpact(context.Background(), cl, true); err != nil {
+			return nil, err
+		}
 	}
+	glitch.SortImpacts(impacts)
 	res := &TimingImpactResult{Impacts: impacts}
 	var pct []float64
 	for _, ti := range impacts {

@@ -191,11 +191,9 @@ type piece struct {
 // Extract runs the extraction. It is the materialized front of the shared
 // streaming kernel: every net is fed through a Streamer with an unbounded
 // frontier, so the incremental path (Config.StreamIngest) and this one
-// compute bit-identical parasitics.
+// compute bit-identical parasitics. AddNet validates each net as it
+// arrives, so the design itself only needs its pair check.
 func Extract(d *design.Design, tech *Tech) (*Parasitics, error) {
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("extract: %w", err)
-	}
 	s := NewStreamer(tech, Unbounded)
 	nets := make([]*NetRC, 0, len(d.Nets))
 	var couplings []Coupling
@@ -208,6 +206,9 @@ func Extract(d *design.Design, tech *Tech) (*Parasitics, error) {
 		couplings = append(couplings, final...)
 	}
 	s.Finish()
+	if err := d.ValidatePairs(); err != nil {
+		return nil, fmt.Errorf("extract: %w", err)
+	}
 	return NewParasitics(d, s.tech, nets, couplings), nil
 }
 

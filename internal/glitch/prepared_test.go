@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xtverify/internal/obs"
-	"xtverify/internal/prune"
 )
 
 // TestPreparedPairMatchesSeedPath pins the glitch-pair fast path: the batched
@@ -44,19 +43,30 @@ func TestPreparedPairMatchesSeedPath(t *testing.T) {
 }
 
 // TestPreparedReuseAcrossDelayEdges checks the memo actually amortizes: under
-// ModelFixedR both victim edges share a conductance pattern, so the worst-edge
-// timing sweep must reuse the decoupled and coupled Prepareds instead of
-// re-diagonalizing, and both paths must agree on the measured delays.
+// ModelFixedR both victim edges share a conductance pattern, so running both
+// edges back to back on one engine must reuse the decoupled and coupled
+// Prepareds instead of re-diagonalizing, and the prepared and one-shot paths
+// must agree on the measured delays.
 func TestPreparedReuseAcrossDelayEdges(t *testing.T) {
 	coll := obs.NewCollector()
 	tr := coll.NewTrace()
 	p, cl := linesSetup(t, 3, 1000, "INV_X2")
 	e := NewEngine(p, Options{Model: ModelFixedR, TEnd: 8e-9, Trace: tr})
-	got, err := e.TimingImpactWorstEdge(context.Background(), []*prune.Cluster{cl})
-	if err != nil {
-		t.Fatal(err)
+	off := NewEngine(p, Options{Model: ModelFixedR, TEnd: 8e-9, DisablePrepared: true})
+	for _, rising := range []bool{true, false} {
+		got, err := e.DelayImpact(context.Background(), cl, rising)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := off.DelayImpact(context.Background(), cl, rising)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("rising=%t: prepared impact %+v differs from one-shot %+v", rising, got, want)
+		}
 	}
-	coll.MergeTrace(got[0].Victim, "test", tr)
+	coll.MergeTrace("w1", "test", tr)
 	s := coll.Snapshot()
 	// Four delay transients over two conductance patterns (decoupled and
 	// coupled): the second edge must hit the memo for both.
@@ -65,16 +75,6 @@ func TestPreparedReuseAcrossDelayEdges(t *testing.T) {
 	}
 	if s.Counters["diagonalize_skipped"] < 2 {
 		t.Errorf("diagonalize_skipped = %d, want >= 2", s.Counters["diagonalize_skipped"])
-	}
-
-	off := NewEngine(p, Options{Model: ModelFixedR, TEnd: 8e-9, DisablePrepared: true})
-	want, err := off.TimingImpactWorstEdge(context.Background(), []*prune.Cluster{cl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].BaseDelay != want[0].BaseDelay || got[0].CoupledDelay != want[0].CoupledDelay ||
-		got[0].BaseSlew != want[0].BaseSlew || got[0].Rising != want[0].Rising {
-		t.Errorf("prepared worst-edge impact %+v differs from seed %+v", got[0], want[0])
 	}
 }
 

@@ -28,53 +28,13 @@ type TimingImpact struct {
 	Aggressors int
 }
 
-// TimingImpactReport measures the worst-case coupling delay deterioration
-// for every cluster, sorted by absolute delay change (largest first).
-func (e *Engine) TimingImpactReport(clusters []*prune.Cluster, rising bool) ([]TimingImpact, error) {
-	return e.TimingImpactReportContext(context.Background(), clusters, rising)
-}
-
-// TimingImpactReportContext is TimingImpactReport honoring context
-// cancellation and deadlines in every per-cluster delay analysis.
-func (e *Engine) TimingImpactReportContext(ctx context.Context, clusters []*prune.Cluster, rising bool) ([]TimingImpact, error) {
-	return e.timingImpacts(ctx, clusters, rising)
-}
-
-// TimingImpactWorstEdge measures each cluster's coupling delay deterioration
-// on both victim edges and keeps the worse one. The four delay transients
-// per cluster run back to back, so the prepared layer diagonalizes the
-// decoupled and coupled systems once each and reuses them across the edges
-// (the two edges share a conductance pattern under ModelFixedR and for
-// symmetric library cells). Sorted like TimingImpactReport.
-func (e *Engine) TimingImpactWorstEdge(ctx context.Context, clusters []*prune.Cluster) ([]TimingImpact, error) {
-	return e.timingImpacts(ctx, clusters, true, false)
-}
-
-// timingImpacts measures every cluster on each of the given victim edges,
-// keeps each cluster's worst (the first edge wins ties), and sorts the
-// result by delay change.
-func (e *Engine) timingImpacts(ctx context.Context, clusters []*prune.Cluster, edges ...bool) ([]TimingImpact, error) {
-	out := make([]TimingImpact, 0, len(clusters))
-	for _, cl := range clusters {
-		var worst TimingImpact
-		for i, rising := range edges {
-			ti, err := e.timingImpact(ctx, cl, rising)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 || ti.DeltaS > worst.DeltaS {
-				worst = ti
-			}
-		}
-		out = append(out, worst)
-	}
-	sortImpacts(out)
-	return out, nil
-}
-
-// timingImpact runs the decoupled-baseline and coupled delay transients for
-// one cluster and edge.
-func (e *Engine) timingImpact(ctx context.Context, cl *prune.Cluster, rising bool) (TimingImpact, error) {
+// DelayImpact runs the decoupled-baseline and coupled delay transients for
+// one cluster and victim edge. Run a cluster's edges back to back on one
+// engine: the prepared memo then diagonalizes the decoupled and coupled
+// systems once each and reuses them across the edges whenever the edges
+// share a conductance pattern (always under ModelFixedR, and for symmetric
+// library cells).
+func (e *Engine) DelayImpact(ctx context.Context, cl *prune.Cluster, rising bool) (TimingImpact, error) {
 	base, err := e.AnalyzeDelayContext(ctx, cl, rising, false)
 	if err != nil {
 		return TimingImpact{}, fmt.Errorf("glitch: timing impact of %s (base): %w", e.Par.Design.Nets[cl.Victim].Name, err)
@@ -99,7 +59,10 @@ func (e *Engine) timingImpact(ctx context.Context, cl *prune.Cluster, rising boo
 	return ti, nil
 }
 
-func sortImpacts(out []TimingImpact) {
+// SortImpacts orders impacts by delay change, largest first, then by victim
+// name — a total order, so the result does not depend on the order the
+// clusters were analyzed in.
+func SortImpacts(out []TimingImpact) {
 	sort.Slice(out, func(i, j int) bool {
 		di, dj := out[i].DeltaS, out[j].DeltaS
 		if di != dj {

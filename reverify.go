@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,13 +168,7 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 // and it is a splice's dominant fixed cost.
 func (v *Verifier) signClusters(clusters []*prune.Cluster) []string {
 	out := make([]string, len(clusters))
-	workers := v.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
+	workers := min(poolSize(v.cfg.Workers), len(clusters))
 	if workers < 2 {
 		for i, cl := range clusters {
 			out[i] = v.clusterSignature(cl)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -182,10 +183,6 @@ func TestStreamGuards(t *testing.T) {
 		"RunEM":        func() error { _, err := sv.RunEM(EMOptions{}); return err },
 		"TraceGlitch":  func() error { _, err := sv.TraceGlitch("ch0/n0"); return err },
 		"AdviseRepair": func() error { _, err := sv.AdviseRepair("ch0/n0"); return err },
-		"RunTimingImpact": func() error {
-			_, err := sv.RunTimingImpact(true)
-			return err
-		},
 		"RefineTimingWindows": func() error {
 			_, err := sv.RefineTimingWindows(context.Background())
 			return err
@@ -204,6 +201,69 @@ func TestStreamGuards(t *testing.T) {
 	}
 	if _, err := NewVerifierFromDSP(smallDSP(), Config{StreamIngest: true, UseTimingWindows: true}); !errors.Is(err, ErrStreamIngest) {
 		t.Errorf("StreamIngest+UseTimingWindows construction = %v, want ErrStreamIngest", err)
+	}
+}
+
+// TestTimingImpactIdentity holds RunTimingImpact to the executor's identity
+// contract: streamed ≡ materialized ≡ Workers=8 ≡ cold and warm ROMStore, bit
+// for bit, on both victim edges under both linear driver models.
+func TestTimingImpactIdentity(t *testing.T) {
+	impacts := func(t *testing.T, cfg Config, rising bool) []TimingImpact {
+		t.Helper()
+		v, err := NewVerifierFromDSP(smallDSP(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := v.RunTimingImpact(rising)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, model := range []DriverModel{FixedResistance, TimingLibrary} {
+		store, err := OpenROMStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Config{Model: model, CapRatioThreshold: 0.03}
+		variants := []struct {
+			name string
+			edit func(c *Config)
+		}{
+			{"workers8", func(c *Config) { c.Workers = 8 }},
+			{"streamed", func(c *Config) { c.StreamIngest = true }},
+			{"cold-store", func(c *Config) { c.ROMStore = store }},
+			{"warm-store", func(c *Config) { c.ROMStore = store }},
+		}
+		for _, rising := range []bool{true, false} {
+			serial := base
+			serial.Workers = 1
+			want := impacts(t, serial, rising)
+			if len(want) < 10 {
+				t.Fatalf("%v: only %d timing impacts; the identity check needs a real population", model, len(want))
+			}
+			for _, tc := range variants {
+				cfg := base
+				tc.edit(&cfg)
+				hits := store.Stats().Hits
+				got := impacts(t, cfg, rising)
+				if tc.name == "warm-store" && store.Stats().Hits == hits {
+					t.Errorf("%v rising=%t: the warm-store run read nothing from the store", model, rising)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%v rising=%t %s: %d impacts, want %d", model, rising, tc.name, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.Victim != w.Victim || g.Aggressors != w.Aggressors ||
+						math.Float64bits(g.BaseDelayPS) != math.Float64bits(w.BaseDelayPS) ||
+						math.Float64bits(g.CoupledDelayPS) != math.Float64bits(w.CoupledDelayPS) ||
+						math.Float64bits(g.DeteriorationPct) != math.Float64bits(w.DeteriorationPct) {
+						t.Fatalf("%v rising=%t %s: impact %d = %+v, want %+v", model, rising, tc.name, i, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 

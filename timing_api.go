@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"xtverify/internal/glitch"
-	"xtverify/internal/prune"
 	"xtverify/internal/sta"
 )
 
@@ -22,13 +21,36 @@ type TimingImpact struct {
 	Aggressors int
 }
 
-// timingEngine is the glitch engine both timing analyses run: the run's
-// policy with the transient lengthened to 8 ns, twice the glitch default, so
-// a coupling-slowed victim edge still crosses Vdd/2 before it ends.
-func (v *Verifier) timingEngine() *glitch.Engine {
-	opt := v.baseGlitchOptions()
-	opt.TEnd = 8e-9
-	return glitch.NewEngine(v.par, opt)
+// delayImpacts runs the strict delay-impact analysis of every cluster on the
+// cluster executor and returns the jobs in victim order, each keeping its
+// worst edge (the first wins ties). A cluster's edges run back to back on
+// one glitch engine, so the prepared memo saves work across them.
+func (v *Verifier) delayImpacts(ctx context.Context, edges ...bool) ([]*engineJob, error) {
+	opts := v.baseGlitchOptions()
+	// Twice the glitch transient, so a coupling-slowed victim edge still
+	// crosses Vdd/2 before it ends.
+	opts.TEnd = 8e-9
+	v.setupEngineCaches(&opts)
+	jobs, _, err := v.runClusters(ctx, runParams{workers: v.cfg.Workers}, func(ctx context.Context, u clusterUnit) (res *clusterResult) {
+		defer func() {
+			if r := recover(); r != nil {
+				res = &clusterResult{err: fmt.Errorf("%w: %v", ErrPanic, r)}
+			}
+		}()
+		eng := glitch.NewEngine(u.par, opts)
+		worst := &glitch.TimingImpact{}
+		for i, rising := range edges {
+			ti, err := eng.DelayImpact(ctx, u.cl, rising)
+			if err != nil {
+				return &clusterResult{err: err}
+			}
+			if i == 0 || ti.DeltaS > worst.DeltaS {
+				*worst = ti
+			}
+		}
+		return &clusterResult{impact: worst}
+	})
+	return jobs, err
 }
 
 // RunTimingImpact performs the chip-level timing recalculation: every
@@ -40,27 +62,28 @@ func (v *Verifier) RunTimingImpact(rising bool) ([]TimingImpact, error) {
 	return v.RunTimingImpactContext(context.Background(), rising)
 }
 
-// RunTimingImpactContext is RunTimingImpact with cancellation: ctx aborts the
-// per-victim delay recalculation between clusters and the partial work is
-// discarded.
+// RunTimingImpactContext is RunTimingImpact with cancellation: ctx aborts
+// the analysis and the partial work is discarded. It runs on Config.Workers,
+// streamed verifiers included, with results independent of both.
 func (v *Verifier) RunTimingImpactContext(ctx context.Context, rising bool) ([]TimingImpact, error) {
-	if err := v.requireMaterialized("RunTimingImpact"); err != nil {
-		return nil, err
-	}
-	clusters := prune.Clusters(v.par, v.pruneOptions())
-	impacts, err := v.timingEngine().TimingImpactReportContext(ctx, clusters, rising)
+	jobs, err := v.delayImpacts(ctx, rising)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]TimingImpact, 0, len(impacts))
-	for _, ti := range impacts {
-		out = append(out, TimingImpact{
+	impacts := make([]glitch.TimingImpact, len(jobs))
+	for i, j := range jobs {
+		impacts[i] = *j.res.impact
+	}
+	glitch.SortImpacts(impacts)
+	out := make([]TimingImpact, len(impacts))
+	for i, ti := range impacts {
+		out[i] = TimingImpact{
 			Victim:           ti.Victim,
 			BaseDelayPS:      ti.BaseDelay * 1e12,
 			CoupledDelayPS:   ti.CoupledDelay * 1e12,
 			DeteriorationPct: ti.DeteriorationPct,
 			Aggressors:       ti.Aggressors,
-		})
+		}
 	}
 	return out, nil
 }
@@ -72,23 +95,19 @@ func (v *Verifier) RunTimingImpactContext(ctx context.Context, rising bool) ([]T
 // slowdown extends Late, a speedup pulls Early in). It returns the number of
 // windows widened. Subsequent runs with Config.UseTimingWindows observe the
 // refined, conservatively wider windows. The design must have been annotated
-// (sta.Annotate / the loader's STA pass) first.
+// (sta.Annotate / the loader's STA pass) first, so a streamed verifier fails
+// with ErrStreamIngest.
 func (v *Verifier) RefineTimingWindows(ctx context.Context) (int, error) {
 	if err := v.requireMaterialized("RefineTimingWindows"); err != nil {
 		return 0, err
 	}
-	clusters := prune.Clusters(v.par, v.pruneOptions())
-	impacts, err := v.timingEngine().TimingImpactWorstEdge(ctx, clusters)
+	jobs, err := v.delayImpacts(ctx, true, false)
 	if err != nil {
 		return 0, err
 	}
-	adj := make([]sta.WindowAdjustment, 0, len(impacts))
-	for _, ti := range impacts {
-		net, ok := v.des.NetByName(ti.Victim)
-		if !ok {
-			return 0, fmt.Errorf("xtverify: timing impact names unknown net %q", ti.Victim)
-		}
-		adj = append(adj, sta.WindowAdjustment{Net: net.Index, DeltaS: ti.DeltaS})
+	adj := make([]sta.WindowAdjustment, len(jobs))
+	for i, j := range jobs {
+		adj[i] = sta.WindowAdjustment{Net: j.victim, DeltaS: j.res.impact.DeltaS}
 	}
 	return sta.ApplyCouplingDeltas(v.des, adj)
 }

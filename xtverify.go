@@ -168,10 +168,12 @@ type Config struct {
 	// incrementally, and each coupled cluster is handed to the worker pool
 	// the moment it closes — verification overlaps ingest and peak memory is
 	// O(largest cluster + frontier) instead of O(chip). Reports are
-	// byte-identical to a materialized run. Requires (approximately)
-	// ascending-y net order in the input; incompatible with UseTimingWindows
-	// and with APIs that need the whole design in memory (WriteSPEF,
-	// Reverify, ...), which then fail with ErrStreamIngest.
+	// byte-identical to a materialized run, and RunTimingImpact, which runs
+	// on the same cluster executor, returns identical impacts. Requires
+	// (approximately) ascending-y net order in the input; incompatible with
+	// UseTimingWindows. The APIs that need the whole design in memory fail
+	// with ErrStreamIngest: WriteSPEF, WriteVerilog, WriteDEF, RunEM,
+	// RefineTimingWindows, TraceGlitch, AdviseRepair, BaseRun and Reverify.
 	StreamIngest bool
 	// StreamFrontierSlackUM is the tolerated out-of-orderness (µm) of
 	// streamed net arrival; 0 means extract.DefaultFrontierSlackUM. Only
