@@ -199,14 +199,26 @@ func renderReportStore(t *testing.T, cfg Config, store *ROMStore) string {
 // TestPersistentStoreWarmColdIdentity is the durability acceptance check:
 // a warm run against a populated disk store must render a byte-identical
 // report to the cold run that populated it, and a corrupted store must
-// degrade to recompute — counted, byte-identical, never fatal.
+// degrade to recompute — counted, byte-identical, never fatal. The
+// nonlinear model restores prepared cores with device ports, whose steps
+// run the Woodbury solve; fixed-R cores have none.
 func TestPersistentStoreWarmColdIdentity(t *testing.T) {
+	for _, m := range []struct {
+		name  string
+		model DriverModel
+	}{{"fixed", FixedResistance}, {"nonlinear", NonlinearCellModel}} {
+		t.Run(m.name, func(t *testing.T) {
+			testPersistentStoreWarmColdIdentity(t, Config{Model: m.model, CapRatioThreshold: 0.03, Workers: 4})
+		})
+	}
+}
+
+func testPersistentStoreWarmColdIdentity(t *testing.T, cfg Config) {
 	dir := t.TempDir()
 	store, err := OpenROMStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Model: FixedResistance, CapRatioThreshold: 0.03, Workers: 4}
 
 	cold := renderReportStore(t, cfg, store)
 	st := store.Stats()
@@ -214,13 +226,18 @@ func TestPersistentStoreWarmColdIdentity(t *testing.T) {
 		t.Fatalf("cold run wrote no entries: %+v", st)
 	}
 
-	warm := renderReportStore(t, cfg, store)
+	warmCfg := cfg
+	warmCfg.Collector = NewMetricsCollector()
+	warm := renderReportStore(t, warmCfg, store)
 	if warm != cold {
 		t.Errorf("warm persistent-cache report differs from cold:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
 	}
 	st2 := store.Stats()
 	if st2.Hits == 0 {
 		t.Errorf("warm run hit nothing: %+v", st2)
+	}
+	if got := warmCfg.Collector.Snapshot().Counters["prepared_store_hits"]; got == 0 {
+		t.Errorf("warm run restored no prepared core from the store")
 	}
 
 	// Flip one byte in every entry: the store must discard every entry,

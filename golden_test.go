@@ -531,3 +531,35 @@ func TestGoldenChipExtraction(t *testing.T) {
 	})
 	checkGolden(t, "streamed chip extraction", couplingDigest(streamed).sum(), "1f39a588b168c8b8164ca4947cc570616fcf5e092feb8fac6cf7e49625505836")
 }
+
+// TestGoldenWorkCounters pins the deterministic work a serial run of the
+// small DSP design does under each driver model: block Lanczos steps, Newton
+// iterations and divergences, Woodbury solves, and the prepared-transient
+// layer's batching and reuse. Counter totals carry no timing noise, so a
+// change that makes the numeric core do more or less work moves them
+// exactly, even when every result keeps its bits.
+func TestGoldenWorkCounters(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	want := map[string]map[string]int64{
+		"fixed": {"lanczos_iterations": 347, "newton_iterations": 192096, "woodbury_solves": 0,
+			"newton_divergences": 0, "scenarios_batched": 96, "diagonalize_skipped": 48, "prepared_reuses": 0},
+		"library": {"lanczos_iterations": 357, "newton_iterations": 196098, "woodbury_solves": 0,
+			"newton_divergences": 0, "scenarios_batched": 0, "diagonalize_skipped": 0, "prepared_reuses": 0},
+		"nonlinear": {"lanczos_iterations": 357, "newton_iterations": 316520, "woodbury_solves": 316520,
+			"newton_divergences": 0, "scenarios_batched": 98, "diagonalize_skipped": 49, "prepared_reuses": 0},
+	}
+	names := []string{"lanczos_iterations", "newton_iterations", "woodbury_solves",
+		"newton_divergences", "scenarios_batched", "diagonalize_skipped", "prepared_reuses"}
+	for _, m := range goldenModels {
+		coll := NewMetricsCollector()
+		if _, err := engineVerifier(t, Config{Model: m.model, CapRatioThreshold: 0.03, Collector: coll}).Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := coll.Snapshot().Counters
+		for _, name := range names {
+			if got[name] != want[m.name][name] {
+				t.Errorf("%s %s = %d, want %d", m.name, name, got[name], want[m.name][name])
+			}
+		}
+	}
+}
