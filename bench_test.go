@@ -211,7 +211,10 @@ func BenchmarkSyMPVLReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkROMTransient measures the reduced-order nonlinear transient.
+// BenchmarkROMTransient measures one reduced-order glitch transient with
+// fixed-resistance drivers. Every termination is linear, so each step takes
+// the closed-form diagonal solve and Newton never iterates;
+// BenchmarkAblationWoodbury/woodbury times the device-port Newton path.
 func BenchmarkROMTransient(b *testing.B) {
 	par, cl := benchCluster(b)
 	eng := glitch.NewEngine(par, glitch.Options{Model: glitch.ModelFixedR, FixedOhms: 1000, TEnd: 5e-9})

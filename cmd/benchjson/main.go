@@ -40,11 +40,15 @@ import (
 
 // defaultBench is the core-kernel set: cheap enough for routine snapshots,
 // covering the hot paths (reduction, ROM transient, reference SPICE, SpMV),
-// the prepared-vs-seed multi-scenario cluster sweep, the end-to-end chip
+// the device-port Newton transient against its dense-LU ablation, the
+// prepared-vs-seed multi-scenario cluster sweep, the end-to-end chip
 // verify with the rung-0 screen on/off (clusters/sec headline), the
 // streaming-vs-materialized ingest (nets/sec and peak-heap-MB headline),
-// and the incremental ECO splice vs full re-run (speedup-x headline).
-const defaultBench = "BenchmarkSyMPVLReduce$|BenchmarkROMTransient$|BenchmarkSPICETransient$|BenchmarkSparseMulVec|BenchmarkGlitchClusterScenarios|BenchmarkChipVerify|BenchmarkChipStream|BenchmarkReverify$"
+// and the incremental ECO splice vs full re-run (speedup-x headline). Go
+// splits -bench on '/' before it reads the '|' alternatives, so no
+// alternative can pick one sub-benchmark: the ablation's dense-lu half runs
+// too.
+const defaultBench = "BenchmarkSyMPVLReduce$|BenchmarkROMTransient$|BenchmarkSPICETransient$|BenchmarkSparseMulVec|BenchmarkAblationWoodbury$|BenchmarkGlitchClusterScenarios|BenchmarkChipVerify|BenchmarkChipStream|BenchmarkReverify$"
 
 // Benchmark is one parsed benchmark result.
 type Benchmark struct {

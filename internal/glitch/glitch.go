@@ -452,7 +452,7 @@ func (e *Engine) reducedOrder(p int) int {
 // gmin/order/decoupling parameters that shaped them.
 func (e *Engine) reduceModel(ctx context.Context, s *clusterSetup) (*sympvl.Model, error) {
 	reduce := func() (*sympvl.Model, error) {
-		return sympvl.Reduce(s.sys, sympvl.Options{Order: e.reducedOrder(s.sys.P), Check: ctx.Err, Workspace: e.ws, Trace: e.Opt.Trace})
+		return sympvl.Reduce(s.sys, sympvl.Options{Order: e.reducedOrder(s.sys.P), Check: pollCheck(ctx), Workspace: e.ws, Trace: e.Opt.Trace})
 	}
 	if s.edited || e.Opt.Cache == nil || e.Opt.DisableROMCache {
 		span := e.Opt.Trace.Start(obs.PhaseReduce)
@@ -643,6 +643,25 @@ type PreparedBacking interface {
 	SavePrepared(key string, c *romsim.PreparedCore)
 }
 
+// pollCheck returns the cancellation poll romsim and sympvl call once per
+// time step or Lanczos iteration: a non-blocking receive on ctx.Done(),
+// which takes no lock where a cancelCtx's Err does, or nil when ctx can
+// never be canceled.
+func pollCheck(ctx context.Context) func() error {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() error {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+			return nil
+		}
+	}
+}
+
 // simulate runs one transient per termination list in scens against the
 // setup s. It is the only code that decides how a transient runs:
 //
@@ -660,7 +679,7 @@ type PreparedBacking interface {
 // the first error in scenario order with that scenario's index.
 func (e *Engine) simulate(ctx context.Context, s *clusterSetup, scens [][]romsim.Termination) (res []*romsim.Result, order, failed int, err error) {
 	res = make([]*romsim.Result, len(scens))
-	check := ctx.Err
+	check := pollCheck(ctx)
 	opt := romsim.Options{TEnd: e.Opt.TEnd, Dt: e.Opt.Dt, Check: check, Trace: e.Opt.Trace}
 	switch {
 	case e.Opt.DirectMNA:

@@ -209,7 +209,7 @@ func TestSolveLUInPlace(t *testing.T) {
 
 		got := append([]float64(nil), b...)
 		piv := make([]int, n)
-		if err := SolveLUInPlace(a.Clone(), piv, got); err != nil {
+		if err := SolveLUInPlace(a.Clone().data, n, piv, got); err != nil {
 			t.Fatalf("trial %d: SolveLUInPlace: %v", trial, err)
 		}
 		for i := range want {

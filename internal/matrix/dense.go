@@ -346,24 +346,23 @@ func (f *LU) SolveTo(dst, b []float64) error {
 	return nil
 }
 
-// SolveLUInPlace factors the square matrix a in place with partial pivoting
-// (destroying its contents) and overwrites b with the solution of a·x = b.
-// piv is caller-provided scratch of length a.Rows(). It is the
+// SolveLUInPlace factors the n×n row-major matrix a in place with partial
+// pivoting (destroying its contents) and overwrites b with the solution of
+// a·x = b. piv is caller-provided scratch of length n. It is the
 // zero-allocation path for the small Woodbury core systems solved at every
 // Newton iteration of the transient integrators.
-func SolveLUInPlace(a *Dense, piv []int, b []float64) error {
-	if a.rows != a.cols {
-		return fmt.Errorf("matrix: SolveLUInPlace needs square matrix, got %dx%d", a.rows, a.cols)
+func SolveLUInPlace(a []float64, n int, piv []int, b []float64) error {
+	if len(a) != n*n {
+		return fmt.Errorf("matrix: SolveLUInPlace needs %d×%d = %d entries, got %d", n, n, n*n, len(a))
 	}
-	n := a.rows
 	if len(piv) != n || len(b) != n {
 		return fmt.Errorf("matrix: SolveLUInPlace scratch length mismatch")
 	}
 	for k := 0; k < n; k++ {
 		p := k
-		maxv := math.Abs(a.data[k*n+k])
+		maxv := math.Abs(a[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.data[i*n+k]); v > maxv {
+			if v := math.Abs(a[i*n+k]); v > maxv {
 				maxv, p = v, i
 			}
 		}
@@ -374,19 +373,19 @@ func SolveLUInPlace(a *Dense, piv []int, b []float64) error {
 		// k); replaying the same swaps on b applies the pivot permutation.
 		piv[k] = p
 		if p != k {
-			rk, rp := a.data[k*n:(k+1)*n], a.data[p*n:(p+1)*n]
+			rk, rp := a[k*n:(k+1)*n], a[p*n:(p+1)*n]
 			for j := 0; j < n; j++ {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 		}
-		pivot := a.data[k*n+k]
+		pivot := a[k*n+k]
 		for i := k + 1; i < n; i++ {
-			lik := a.data[i*n+k] / pivot
-			a.data[i*n+k] = lik
+			lik := a[i*n+k] / pivot
+			a[i*n+k] = lik
 			if lik == 0 {
 				continue
 			}
-			ri, rk := a.data[i*n:(i+1)*n], a.data[k*n:(k+1)*n]
+			ri, rk := a[i*n:(i+1)*n], a[k*n:(k+1)*n]
 			for j := k + 1; j < n; j++ {
 				ri[j] -= lik * rk[j]
 			}
@@ -398,7 +397,7 @@ func SolveLUInPlace(a *Dense, piv []int, b []float64) error {
 		}
 	}
 	for i := 1; i < n; i++ {
-		ri := a.data[i*n : (i+1)*n]
+		ri := a[i*n : (i+1)*n]
 		s := b[i]
 		for j := 0; j < i; j++ {
 			s -= ri[j] * b[j]
@@ -406,7 +405,7 @@ func SolveLUInPlace(a *Dense, piv []int, b []float64) error {
 		b[i] = s
 	}
 	for i := n - 1; i >= 0; i-- {
-		ri := a.data[i*n : (i+1)*n]
+		ri := a[i*n : (i+1)*n]
 		s := b[i]
 		for j := i + 1; j < n; j++ {
 			s -= ri[j] * b[j]

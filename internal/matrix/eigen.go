@@ -46,11 +46,14 @@ func EigenSym(a *Dense) (w []float64, v *Dense, err error) {
 
 // tred2 reduces a symmetric matrix (stored in z) to tridiagonal form using
 // Householder reflections, accumulating the orthogonal transform in z.
-// On return d holds the diagonal and e the sub-diagonal (e[0] = 0).
+// On return d holds the diagonal and e the sub-diagonal (e[0] = 0). The
+// loops index z's row-major data directly: element (r, c) is zd[r*n+c].
 func tred2(z *Dense, d, e []float64) {
 	n := z.rows
+	zd := z.data
+	last := zd[(n-1)*n:]
 	for i := 0; i < n; i++ {
-		d[i] = z.At(n-1, i)
+		d[i] = last[i]
 	}
 	for i := n - 1; i > 0; i-- {
 		// Scale to avoid under/overflow.
@@ -61,9 +64,9 @@ func tred2(z *Dense, d, e []float64) {
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = z.At(i-1, j)
-				z.Set(i, j, 0)
-				z.Set(j, i, 0)
+				d[j] = zd[(i-1)*n+j]
+				zd[i*n+j] = 0
+				zd[j*n+i] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -84,11 +87,12 @@ func tred2(z *Dense, d, e []float64) {
 			// Apply similarity transformation to remaining columns.
 			for j := 0; j < i; j++ {
 				f = d[j]
-				z.Set(j, i, f)
-				g = e[j] + z.At(j, j)*f
+				zd[j*n+i] = f
+				g = e[j] + zd[j*n+j]*f
 				for k := j + 1; k <= i-1; k++ {
-					g += z.At(k, j) * d[k]
-					e[k] += z.At(k, j) * f
+					zkj := zd[k*n+j]
+					g += zkj * d[k]
+					e[k] += zkj * f
 				}
 				e[j] = g
 			}
@@ -105,42 +109,42 @@ func tred2(z *Dense, d, e []float64) {
 				f = d[j]
 				g = e[j]
 				for k := j; k <= i-1; k++ {
-					z.Add(k, j, -(f*e[k] + g*d[k]))
+					zd[k*n+j] += -(f*e[k] + g*d[k])
 				}
-				d[j] = z.At(i-1, j)
-				z.Set(i, j, 0)
+				d[j] = zd[(i-1)*n+j]
+				zd[i*n+j] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		z.Set(n-1, i, z.At(i, i))
-		z.Set(i, i, 1)
+		last[i] = zd[i*n+i]
+		zd[i*n+i] = 1
 		h := d[i+1]
 		if h != 0 {
 			for k := 0; k <= i; k++ {
-				d[k] = z.At(k, i+1) / h
+				d[k] = zd[k*n+i+1] / h
 			}
 			for j := 0; j <= i; j++ {
 				g := 0.0
 				for k := 0; k <= i; k++ {
-					g += z.At(k, i+1) * z.At(k, j)
+					g += zd[k*n+i+1] * zd[k*n+j]
 				}
 				for k := 0; k <= i; k++ {
-					z.Add(k, j, -g*d[k])
+					zd[k*n+j] += -g * d[k]
 				}
 			}
 		}
 		for k := 0; k <= i; k++ {
-			z.Set(k, i+1, 0)
+			zd[k*n+i+1] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = z.At(n-1, j)
-		z.Set(n-1, j, 0)
+		d[j] = last[j]
+		last[j] = 0
 	}
-	z.Set(n-1, n-1, 1)
+	last[n-1] = 1
 	e[0] = 0
 }
 
@@ -201,11 +205,12 @@ func tql2(z *Dense, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					// Accumulate the rotation in the eigenvector matrix.
-					for k := 0; k < n; k++ {
-						h = z.At(k, i+1)
-						z.Set(k, i+1, s*z.At(k, i)+c*h)
-						z.Set(k, i, c*z.At(k, i)-s*h)
+					// Accumulate the rotation in the eigenvector matrix:
+					// columns i and i+1 of each row of z.
+					for o := i; o < len(z.data); o += n {
+						zi, zi1 := z.data[o], z.data[o+1]
+						z.data[o+1] = s*zi + c*zi1
+						z.data[o] = c*zi - s*zi1
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1

@@ -7,15 +7,12 @@
 // values and the stepping code is unchanged).
 package romsim
 
-import (
-	"fmt"
-
-	"xtverify/internal/matrix"
-)
+import "fmt"
 
 // PreparedCore is the flat, persistable state of a Prepared factorization.
-// It captures the post-Prepare numeric state exactly; closures, scratch and
-// the source model are excluded and rebuilt on restore.
+// It captures the post-Prepare numeric state exactly. The source model is
+// excluded; the Woodbury step systems and the scratch derive from the core
+// and are rebuilt on restore.
 type PreparedCore struct {
 	Order int
 	Ports int
@@ -67,8 +64,9 @@ func (p *Prepared) Core() *PreparedCore {
 }
 
 // PreparedFromCore rebuilds a ready-to-step Prepared from a persisted core:
-// port partitions are re-derived from the kinds, the stepping scratch is
-// re-allocated, and the trapezoidal coefficient recomputed from Dt. The
+// port partitions are re-derived from the kinds, and the trapezoidal
+// coefficient, the Woodbury step systems and the stepping scratch are
+// rebuilt from Dt, the eigenvalues and η as Prepare builds them. The
 // result is interchangeable with the Prepared the core was extracted from —
 // every scenario executes the identical floating-point sequence. Dimension
 // mismatches (a corrupted or hand-built core) are rejected.
@@ -95,7 +93,6 @@ func PreparedFromCore(c *PreparedCore) (*Prepared, error) {
 		dt:        c.Dt,
 		tend:      c.TEnd,
 		nSteps:    c.NSteps,
-		a:         2 / c.Dt,
 		tol:       c.Tol,
 		maxNewton: c.MaxNewton,
 		denseNewt: c.DenseNewt,
@@ -119,21 +116,6 @@ func PreparedFromCore(c *PreparedCore) (*Prepared, error) {
 		}
 		p.kinds[j] = portKind(k)
 	}
-	nNL := len(p.nlPorts)
-	p.scr = &simScratch{
-		delta: make([]float64, p.q),
-		base:  make([]float64, p.q),
-		r:     make([]float64, p.q),
-		dinvr: make([]float64, p.q),
-		s:     make([]float64, nNL),
-		rhs:   make([]float64, nNL),
-		piv:   make([]int, nNL),
-		core:  matrix.NewDense(nNL, nNL),
-		dinvU: make([][]float64, nNL),
-	}
-	dinvUData := make([]float64, nNL*p.q)
-	for ci := range p.scr.dinvU {
-		p.scr.dinvU[ci] = dinvUData[ci*p.q : (ci+1)*p.q]
-	}
+	p.buildStepState()
 	return p, nil
 }

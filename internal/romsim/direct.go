@@ -108,7 +108,7 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 	scr := struct {
 		r, x0, s, rhs []float64
 		piv           []int
-		core          *matrix.Dense
+		core          []float64 // nNL×nNL Woodbury core, row-major
 		hist, base, f []float64
 	}{
 		r:    make([]float64, n),
@@ -116,7 +116,7 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 		s:    make([]float64, nNL),
 		rhs:  make([]float64, nNL),
 		piv:  make([]int, nNL),
-		core: matrix.NewDense(nNL, nNL),
+		core: make([]float64, nNL*nNL),
 		hist: make([]float64, n),
 		base: make([]float64, n),
 		f:    make([]float64, n),
@@ -136,23 +136,19 @@ func SimulateDirect(sys *mna.System, terms []Termination, opt Options) (*Result,
 		}
 		woodburySolves++
 		core, rhs := scr.core, scr.rhs
-		for c := 0; c < nNL; c++ {
-			for b := 0; b < nNL; b++ {
-				if c == b {
-					core.Set(c, b, 1)
-				} else {
-					core.Set(c, b, 0)
-				}
-			}
-		}
 		for c, jc := range nlPorts {
 			node := sys.PortNodes[jc]
-			for b := 0; b < nNL; b++ {
-				core.Add(c, b, s[c]*w[b][node])
+			row := core[c*nNL : (c+1)*nNL]
+			for b := range row {
+				id := 0.0
+				if c == b {
+					id = 1
+				}
+				row[b] = id + s[c]*w[b][node]
 			}
 			rhs[c] = s[c] * x0[node]
 		}
-		if err := matrix.SolveLUInPlace(core, scr.piv, rhs); err != nil {
+		if err := matrix.SolveLUInPlace(core, nNL, scr.piv, rhs); err != nil {
 			return nil, fmt.Errorf("romsim: Woodbury core singular: %w", err)
 		}
 		for c := range nlPorts {

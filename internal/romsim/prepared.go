@@ -24,12 +24,12 @@ const (
 // Prepared is the scenario-independent half of a transient analysis: the
 // linear-termination fold M = L·Lᵀ, the eigendecomposition to the diagonal
 // system D·ẏ + y = η·i, the trapezoidal step coefficients for the fixed Dt,
-// and all per-step/per-Newton scratch. It is keyed only by the model and the
-// conductance pattern of the terminations (which ports are linear and their
-// G values, which carry devices, which are open) — source waveforms and
-// device models stay free, so glitch polarities, delay stimuli and
-// repair-candidate sweeps over the same cluster all execute against one
-// Prepared.
+// the Woodbury step systems, and all per-step/per-Newton scratch. It is
+// keyed only by the model and the conductance pattern of the terminations
+// (which ports are linear and their G values, which carry devices, which
+// are open) — source waveforms and device models stay free, so glitch
+// polarities, delay stimuli and repair-candidate sweeps over the same
+// cluster all execute against one Prepared.
 //
 // A Prepared is not safe for concurrent use (it owns the stepping scratch);
 // hold one per analysis engine, like a sympvl.Workspace.
@@ -47,6 +47,7 @@ type Prepared struct {
 	gs       []float64 // per-port conductance; 0 for non-linear ports
 	linPorts []int
 	nlPorts  []int
+	nlEta    [][]float64 // η columns of the device ports, in nlPorts order
 
 	// Fixed stepping parameters.
 	dt, tend  float64
@@ -56,6 +57,10 @@ type Prepared struct {
 	maxNewton int
 	denseNewt bool
 	noInitDC  bool
+
+	// Step systems of the two Newton diagonals: Δ = 1 at the DC operating
+	// point and Δ = a·D + 1 on every time step.
+	dc, tran stepSystem
 
 	scr *simScratch
 
@@ -105,10 +110,11 @@ func PatternKey(terms []Termination) string {
 
 // Prepare factors everything about a transient analysis that does not depend
 // on the scenario: the termination fold, the diagonalization of paper Eq. 5,
-// the Woodbury scratch and the trapezoidal coefficients for the fixed
-// opt.Dt/opt.TEnd. opt.Trace receives the diagonalize span; opt.Check is
-// ignored (checks are per scenario). The returned Prepared accepts any
-// scenario whose terminations match the conductance pattern of terms.
+// the Woodbury step systems and scratch, and the trapezoidal coefficients
+// for the fixed opt.Dt/opt.TEnd. opt.Trace receives the diagonalize span;
+// opt.Check is ignored (checks are per scenario). The returned Prepared
+// accepts any scenario whose terminations match the conductance pattern of
+// terms.
 func Prepare(m *sympvl.Model, terms []Termination, opt Options) (*Prepared, error) {
 	if len(terms) != m.Ports {
 		return nil, fmt.Errorf("romsim: %d terminations for %d ports", len(terms), m.Ports)
@@ -211,34 +217,74 @@ func Prepare(m *sympvl.Model, terms []Termination, opt Options) (*Prepared, erro
 	for j := 0; j < m.Ports; j++ {
 		p.etaCols[j] = eta.Col(j)
 	}
+	p.nSteps = int(math.Round(opt.TEnd / dt))
+	if p.nSteps < 1 {
+		p.nSteps = 1
+	}
+	p.buildStepState()
 	diagSpan.End()
+	return p, nil
+}
 
-	// All per-step and per-Newton-iteration scratch is allocated once here
-	// and reused for every scenario and time step: the inner loop runs
-	// thousands of times per cluster and must not touch the allocator.
-	nNL := len(p.nlPorts)
+// buildStepState derives everything the stepping loop needs beyond the
+// numeric core (dvals, η, the port partition and dt): the trapezoidal
+// coefficient, the DC and transient step systems, and the scratch. Prepare
+// and PreparedFromCore share it, so a restored core steps exactly like a
+// fresh one. All per-step and per-Newton-iteration scratch is allocated here
+// and reused for every scenario and time step: the inner loop runs thousands
+// of times per cluster and must not touch the allocator.
+func (p *Prepared) buildStepState() {
+	q, nNL := p.q, len(p.nlPorts)
+	p.a = 2 / p.dt
+	ones, delta := make([]float64, q), make([]float64, q)
+	for i := range delta {
+		ones[i] = 1
+		delta[i] = p.a*p.dvals[i] + 1
+	}
+	p.nlEta = make([][]float64, nNL)
+	for c, j := range p.nlPorts {
+		p.nlEta[c] = p.etaCols[j]
+	}
+	p.dc, p.tran = p.newStepSystem(ones), p.newStepSystem(delta)
 	p.scr = &simScratch{
-		delta: make([]float64, q),
+		v:     make([]float64, p.ports),
 		base:  make([]float64, q),
 		r:     make([]float64, q),
 		dinvr: make([]float64, q),
 		s:     make([]float64, nNL),
 		rhs:   make([]float64, nNL),
 		piv:   make([]int, nNL),
-		core:  matrix.NewDense(nNL, nNL),
-		dinvU: make([][]float64, nNL),
+		core:  make([]float64, nNL*nNL),
 	}
-	dinvUData := make([]float64, nNL*q)
-	for c := range p.scr.dinvU {
-		p.scr.dinvU[c] = dinvUData[c*q : (c+1)*q]
-	}
+}
 
-	p.a = 2 / dt
-	p.nSteps = int(math.Round(opt.TEnd / dt))
-	if p.nSteps < 1 {
-		p.nSteps = 1
+// stepSystem is the Δ-dependent half of the Woodbury solve of paper Eq. 7
+// for one Newton diagonal Δ, over the device-port columns U of η. Δ is
+// constant for the whole DC solve and for the whole transient, so a Newton
+// iteration never rebuilds Δ⁻¹U or the Gram; it only scales the Gram's rows
+// by the device slopes.
+type stepSystem struct {
+	delta []float64 // Δ, length q
+	dinvU []float64 // Δ⁻¹U: row c (length q) is Δ⁻¹·u_c
+	gram  []float64 // G = UᵀΔ⁻¹U, nNL×nNL row-major: G[a·nNL+b] = u_a·Δ⁻¹u_b
+}
+
+// newStepSystem builds the step system of the diagonal delta.
+func (p *Prepared) newStepSystem(delta []float64) stepSystem {
+	q, nNL := p.q, len(p.nlPorts)
+	sys := stepSystem{delta: delta, dinvU: make([]float64, nNL*q), gram: make([]float64, nNL*nNL)}
+	for c, u := range p.nlEta {
+		du := sys.dinvU[c*q : (c+1)*q]
+		for i := range du {
+			du[i] = u[i] / delta[i]
+		}
 	}
-	return p, nil
+	for a, u := range p.nlEta {
+		for b := 0; b < nNL; b++ {
+			sys.gram[a*nNL+b] = matrix.Dot(u, sys.dinvU[b*q:(b+1)*q])
+		}
+	}
+	return sys
 }
 
 // Order returns the reduced order of the prepared diagonal system.
@@ -313,9 +359,9 @@ func (c *column) fail(err error) {
 // runScenarios is the single stepping engine behind Run and RunBatch. All
 // per-column arithmetic matches the historical per-Simulate loop operation
 // for operation; batching only shares the scenario-independent pieces (the
-// trapezoidal diagonal Δ and the scratch buffers) and interleaves columns
-// step by step, which cannot change any column's floating-point sequence
-// because columns never couple.
+// step systems and the scratch buffers) and interleaves columns step by
+// step, which cannot change any column's floating-point sequence because
+// columns never couple.
 func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []error) {
 	k := len(scs)
 	cols := make([]*column, k)
@@ -356,17 +402,13 @@ func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []erro
 
 	// Initial condition: DC operating point (ẏ = 0 ⇒ Δ = 1).
 	if !p.noInitDC {
-		ones := make([]float64, q)
-		for i := range ones {
-			ones[i] = 1
-		}
 		for s, sc := range scs {
 			c := cols[s]
 			if c.err != nil {
 				continue
 			}
 			p.forceInto(p.scr.base, sc.Terms, 0)
-			if err := p.newtonLoop(c, ones, p.scr.base, c.y, c.ynext, sc.Terms, 0, sc.Trace); err != nil {
+			if err := p.newtonLoop(c, &p.dc, p.scr.base, c.y, c.ynext, sc.Terms, 0, sc.Trace); err != nil {
 				c.fail(fmt.Errorf("romsim: DC init: %w", err))
 				continue
 			}
@@ -382,9 +424,10 @@ func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []erro
 			continue
 		}
 		c.res = &Result{Ports: make([]*waveform.Waveform, p.ports)}
+		dotsInto(p.scr.v, p.etaCols, c.y)
 		for j := range c.res.Ports {
 			c.res.Ports[j] = waveform.New(p.nSteps + 1)
-			c.res.Ports[j].Append(0, p.portV(c.y, j))
+			c.res.Ports[j].Append(0, p.scr.v[j])
 		}
 	}
 
@@ -392,12 +435,6 @@ func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []erro
 	dvals := p.dvals
 	for n := 1; n <= p.nSteps; n++ {
 		t := float64(n) * p.dt
-		// The trapezoidal diagonal Δ_i = a·D_i + 1 is scenario-independent:
-		// computed once per step and shared by every column.
-		delta := p.scr.delta
-		for i := 0; i < q; i++ {
-			delta[i] = a*dvals[i] + 1
-		}
 		for s, sc := range scs {
 			c := cols[s]
 			if c.err != nil {
@@ -416,7 +453,7 @@ func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []erro
 			for i := 0; i < q; i++ {
 				base[i] += dvals[i] * (a*c.y[i] + c.ydot[i])
 			}
-			if err := p.newtonLoop(c, delta, base, c.y, c.ynext, sc.Terms, t, sc.Trace); err != nil {
+			if err := p.newtonLoop(c, &p.tran, base, c.y, c.ynext, sc.Terms, t, sc.Trace); err != nil {
 				c.fail(err)
 				continue
 			}
@@ -424,8 +461,10 @@ func (p *Prepared) runScenarios(scs []Scenario, batched bool) ([]*Result, []erro
 				c.ydot[i] = a*(c.ynext[i]-c.y[i]) - c.ydot[i]
 			}
 			c.y, c.ynext = c.ynext, c.y
-			for j := range c.res.Ports {
-				c.res.Ports[j].Append(t, p.portV(c.y, j))
+			v := p.scr.v
+			dotsInto(v, p.etaCols, c.y)
+			for j, w := range c.res.Ports {
+				w.Append(t, v[j])
 			}
 			c.res.Steps++
 		}
@@ -469,15 +508,13 @@ func (p *Prepared) forceInto(f []float64, terms []Termination, t float64) {
 	}
 }
 
-// portV evaluates the port-j voltage η_jᵀ·y.
-func (p *Prepared) portV(y []float64, j int) float64 { return matrix.Dot(p.etaCols[j], y) }
-
 // newtonSolve solves (Δ + Σ_nl (−di_k/dv)·η_k·η_kᵀ)·x = r via Woodbury,
-// where Δ = diag(delta). s holds the −di/dv factors per nonlinear port.
+// where Δ = diag(sys.delta). s holds the −di/dv factors per nonlinear port.
 // The returned slice aliases scratch and is only valid until the next call.
-func (p *Prepared) newtonSolve(delta, s, r []float64, wood *int) ([]float64, error) {
+func (p *Prepared) newtonSolve(sys *stepSystem, s, r []float64, wood *int) ([]float64, error) {
 	q := p.q
 	nNL := len(p.nlPorts)
+	delta := sys.delta
 	if p.denseNewt {
 		// Ablation path: assemble J = Δ + Σ s_c·η_c·η_cᵀ densely. Kept
 		// deliberately allocation-heavy and factorization-per-call — it
@@ -512,40 +549,29 @@ func (p *Prepared) newtonSolve(delta, s, r []float64, wood *int) ([]float64, err
 	if nNL == 0 {
 		return dinvr, nil
 	}
-	// Small core system: (I + S·UᵀΔ⁻¹U)·z = S·UᵀΔ⁻¹r, x = Δ⁻¹r − Δ⁻¹U·z.
-	core := scr.core
-	for a := 0; a < nNL; a++ {
-		for b := 0; b < nNL; b++ {
+	// Small core system: (I + S·G)·z = S·UᵀΔ⁻¹r, x = Δ⁻¹r − Δ⁻¹U·z, with
+	// the Gram G = UᵀΔ⁻¹U taken from the step system.
+	core, rhs := scr.core, scr.rhs
+	dotsInto(rhs, p.nlEta, dinvr)
+	for a := range p.nlPorts {
+		row, g := core[a*nNL:(a+1)*nNL], sys.gram[a*nNL:(a+1)*nNL]
+		for b := range row {
+			id := 0.0
 			if a == b {
-				core.Set(a, b, 1)
-			} else {
-				core.Set(a, b, 0)
+				id = 1
 			}
+			row[b] = id + s[a]*g[b]
 		}
-	}
-	rhs := scr.rhs
-	for c, j := range p.nlPorts {
-		col := p.etaCols[j]
-		du := scr.dinvU[c]
-		for i := 0; i < q; i++ {
-			du[i] = col[i] / delta[i]
-		}
-	}
-	for a, ja := range p.nlPorts {
-		ua := p.etaCols[ja]
-		for b := 0; b < nNL; b++ {
-			core.Add(a, b, s[a]*matrix.Dot(ua, scr.dinvU[b]))
-		}
-		rhs[a] = s[a] * matrix.Dot(ua, dinvr)
+		rhs[a] = s[a] * rhs[a]
 	}
 	// Factor and solve the tiny core in place; rhs becomes z.
-	if err := matrix.SolveLUInPlace(core, scr.piv, rhs); err != nil {
+	if err := matrix.SolveLUInPlace(core, nNL, scr.piv, rhs); err != nil {
 		return nil, fmt.Errorf("romsim: Woodbury core singular: %w", err)
 	}
 	*wood++
 	x := dinvr
-	for ci := range p.nlPorts {
-		matrix.Axpy(-rhs[ci], scr.dinvU[ci], x)
+	for c := range p.nlPorts {
+		matrix.Axpy(-rhs[c], sys.dinvU[c*q:(c+1)*q], x)
 	}
 	return x, nil
 }
@@ -557,32 +583,33 @@ func (p *Prepared) residualInto(r, s, delta, base, y []float64, terms []Terminat
 	for i := range r {
 		r[i] = delta[i]*y[i] - base[i]
 	}
+	v := p.scr.v[:len(p.nlPorts)]
+	dotsInto(v, p.nlEta, y)
 	for c, j := range p.nlPorts {
-		v := p.portV(y, j)
-		i, di := terms[j].Dev.Current(v, t)
-		matrix.Axpy(-i, p.etaCols[j], r)
+		i, di := terms[j].Dev.Current(v[c], t)
+		matrix.Axpy(-i, p.nlEta[c], r)
 		s[c] = -di
 	}
 }
 
-// newtonLoop drives yout (seeded from y0) to R(yout)=0 for the given
-// delta/base/t. yout must not alias y0.
-func (p *Prepared) newtonLoop(c *column, delta, base, y0, yout []float64, terms []Termination, t float64, tr *obs.Trace) error {
+// newtonLoop drives yout (seeded from y0) to R(yout)=0 for the given step
+// system, base and t. yout must not alias y0.
+func (p *Prepared) newtonLoop(c *column, sys *stepSystem, base, y0, yout []float64, terms []Termination, t float64, tr *obs.Trace) error {
 	if len(p.nlPorts) == 0 && !p.denseNewt {
 		// With no device ports the step equation Δ∘y = base is linear:
 		// Newton from any seed lands on this closed form in one iteration
 		// and then burns a second confirming convergence. Solve directly.
 		c.newton++
 		for i := range yout {
-			yout[i] = base[i] / delta[i]
+			yout[i] = base[i] / sys.delta[i]
 		}
 		return nil
 	}
 	copy(yout, y0)
 	for it := 0; it < p.maxNewton; it++ {
 		c.newton++
-		p.residualInto(p.scr.r, p.scr.s, delta, base, yout, terms, t)
-		dy, err := p.newtonSolve(delta, p.scr.s, p.scr.r, &c.woodbury)
+		p.residualInto(p.scr.r, p.scr.s, sys.delta, base, yout, terms, t)
+		dy, err := p.newtonSolve(sys, p.scr.s, p.scr.r, &c.woodbury)
 		if err != nil {
 			return err
 		}
@@ -600,10 +627,29 @@ func (p *Prepared) newtonLoop(c *column, delta, base, y0, yout []float64, terms 
 // simScratch bundles the buffers the inner loops reuse across every time
 // step, Newton iteration and scenario column.
 type simScratch struct {
-	delta, base []float64 // per-step trapezoidal diagonal and constant part
-	r, dinvr    []float64 // Newton residual and Δ⁻¹-scaled copies
-	s, rhs      []float64 // −di/dv factors and Woodbury core RHS
-	piv         []int     // pivot scratch for the in-place core solve
-	core        *matrix.Dense
-	dinvU       [][]float64 // Δ⁻¹·U columns over one flat backing array
+	base     []float64 // per-step constant part
+	r, dinvr []float64 // Newton residual and its Δ⁻¹-scaled copy
+	s, rhs   []float64 // −di/dv factors and Woodbury core RHS
+	piv      []int     // pivot scratch for the in-place core solve
+	core     []float64 // nNL×nNL Woodbury core I + S·G, row-major
+	v        []float64 // port voltages η_jᵀ·y
+}
+
+// dotsInto sets out[k] = matrix.Dot(xs[k], y) for every k. It runs the dots
+// two at a time, each in its own accumulator summing in Dot's order, so
+// every result keeps its bits while the two add chains overlap.
+func dotsInto(out []float64, xs [][]float64, y []float64) {
+	k := 0
+	for ; k+2 <= len(xs); k += 2 {
+		a, b := xs[k][:len(y)], xs[k+1][:len(y)]
+		var sa, sb float64
+		for i, v := range y {
+			sa += a[i] * v
+			sb += b[i] * v
+		}
+		out[k], out[k+1] = sa, sb
+	}
+	if k < len(xs) {
+		out[k] = matrix.Dot(xs[k], y)
+	}
 }
