@@ -1,9 +1,10 @@
 // The reverify-sweep experiment: quantify the incremental ECO splice against
 // the full re-run it replaces. One base verification of the synthetic design,
-// then a sweep of single-driver upsize repairs — each applied to the DEF view
-// and re-verified both ways. The identity contract (spliced report ==
-// byte-identical cold run) is asserted on every repair, so the sweep doubles
-// as an end-to-end check of the reverify layer at CLI scale.
+// then a sweep of single-driver upsize repairs — each applied to a copy of the
+// base design in memory (Verifier.UpsizeDriver) and re-verified both ways.
+// The identity contract (spliced report == byte-identical cold run) is
+// asserted on every repair, so the sweep doubles as an end-to-end check of the
+// reverify layer at CLI scale.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"xtverify"
-	"xtverify/internal/daemon"
 )
 
 // renderIdentity is the report's identity surface (WriteText, no diagnostics).
@@ -30,18 +30,7 @@ func runReverifySweep() (string, error) {
 	ctx := context.Background()
 	cfg := xtverify.Config{Model: xtverify.TimingLibrary, Workers: *workers}
 
-	// Canonicalize through DEF, like the daemon: the sweep's deltas are DEF
-	// edits, and only DEF-parsed designs are bit-comparable with them.
-	gen, err := xtverify.NewVerifierFromDSP(xtverify.DSPConfig(dspCfg()), cfg)
-	if err != nil {
-		return "", err
-	}
-	var defBuf strings.Builder
-	if err := gen.WriteDEF(&defBuf); err != nil {
-		return "", err
-	}
-	baseDEF := defBuf.String()
-	baseV, err := xtverify.NewVerifierFromDEF(strings.NewReader(baseDEF), cfg)
+	baseV, err := xtverify.NewVerifierFromDSP(xtverify.DSPConfig(dspCfg()), cfg)
 	if err != nil {
 		return "", err
 	}
@@ -81,15 +70,10 @@ func runReverifySweep() (string, error) {
 		if repairs >= limit {
 			break
 		}
-		edited, err := daemon.ApplyRepair(baseDEF, &daemon.RepairDelta{Victim: victim, Fix: "upsize-driver"})
+		t0 = time.Now()
+		coldV, err := baseV.UpsizeDriver(victim, "", cfg)
 		if err != nil {
 			continue // no stronger cell in the library: not repairable this way
-		}
-
-		t0 = time.Now()
-		coldV, err := xtverify.NewVerifierFromDEF(strings.NewReader(edited), cfg)
-		if err != nil {
-			return "", err
 		}
 		coldRep, err := coldV.RunContext(ctx)
 		if err != nil {
@@ -98,7 +82,7 @@ func runReverifySweep() (string, error) {
 		fullMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
 		t0 = time.Now()
-		v, err := xtverify.NewVerifierFromDEF(strings.NewReader(edited), cfg)
+		v, err := baseV.UpsizeDriver(victim, "", cfg)
 		if err != nil {
 			return "", err
 		}

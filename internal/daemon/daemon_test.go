@@ -418,6 +418,9 @@ func TestInjectedPanicsDegradeNotCrash(t *testing.T) {
 	}
 	restore()
 	clean := verifyOK(t, ts, tinyJob())
+	if clean.Cached {
+		t.Error("resubmission after the faults cleared was served the cached all-unverified report")
+	}
 	if clean.Unverified != 0 {
 		t.Errorf("daemon did not recover after panics: %+v", clean)
 	}
@@ -671,8 +674,10 @@ func TestStreamJobBadRequests(t *testing.T) {
 }
 
 // TestReverifyAgainstStreamedBase: a streamed base job cannot be spliced
-// against (no materialized design to index), so the reverify degrades to a
-// full recompute — same availability contract as an unusable base.
+// against (no materialized design to index), so a def delta degrades to a
+// full recompute — same availability contract as an unusable base. A repair
+// delta needs the base design itself, which a streamed job never holds: the
+// client's request is refused with 400, and the daemon stays healthy.
 func TestReverifyAgainstStreamedBase(t *testing.T) {
 	faultinject.LeakCheck(t)
 	def := tinyDEF(t)
@@ -686,6 +691,22 @@ func TestReverifyAgainstStreamedBase(t *testing.T) {
 		t.Errorf("identity ECO against streamed base changed the report:\n--- base ---\n%s--- reverify ---\n%s",
 			base.ReportText, rr.ReportText)
 	}
+
+	status, raw := postJSON(t, ts, "/v1/reverify", &ReverifyRequest{BaseJobID: base.JobID,
+		Repair: &RepairDelta{Victim: firstVictim(t, base.ReportText), Fix: "upsize-driver"}})
+	if status != http.StatusBadRequest {
+		t.Fatalf("repair against a streamed base = %d, want 400: %s", status, raw)
+	}
+	var body errorResponse
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("bad error body: %v\n%s", err, raw)
+	}
+	for _, want := range []string{"was streamed", "without stream", "def delta"} {
+		if !strings.Contains(body.Error, want) {
+			t.Errorf("error %q lacks %q", body.Error, want)
+		}
+	}
+	checkHealthy(t, ts)
 }
 
 // TestMalformedDEFIs400 pins the input-error contract on both front ends: a

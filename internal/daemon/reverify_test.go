@@ -3,15 +3,18 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"xtverify"
+	"xtverify/internal/cells"
 )
 
 // TestRetryAfterSeconds is the regression table for the Retry-After
@@ -51,16 +54,26 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
+// victims extracts the violations' net names from a report text, in report
+// order.
+func victims(reportText string) []string {
+	var out []string
+	for _, line := range strings.Split(reportText, "\n") {
+		if strings.HasPrefix(line, "  ") && strings.Contains(line, " peak ") {
+			out = append(out, strings.Fields(line)[0])
+		}
+	}
+	return out
+}
+
 // firstVictim extracts the first violation's net name from a report text.
 func firstVictim(t *testing.T, reportText string) string {
 	t.Helper()
-	for _, line := range strings.Split(reportText, "\n") {
-		if strings.HasPrefix(line, "  ") && strings.Contains(line, " peak ") {
-			return strings.Fields(line)[0]
-		}
+	vs := victims(reportText)
+	if len(vs) == 0 {
+		t.Fatalf("no violation line in report:\n%s", reportText)
 	}
-	t.Fatalf("no violation line in report:\n%s", reportText)
-	return ""
+	return vs[0]
 }
 
 // postJSON posts any request body to a daemon path.
@@ -239,6 +252,30 @@ func TestReverifyRoundTrip(t *testing.T) {
 	if chain.ReportText != rr.ReportText {
 		t.Error("no-op delta changed the report")
 	}
+
+	// A repair on the repaired job: its base verifier was itself built by
+	// editing a design in memory, and the chain must still splice and match
+	// a cold verify of its echo.
+	vs := victims(base.ReportText)
+	if len(vs) < 2 {
+		t.Fatalf("base job has %d violations, want 2 to chain repairs", len(vs))
+	}
+	rr2 := reverifyOK(t, ts, &ReverifyRequest{
+		BaseJobID: rr.JobID,
+		Repair:    &RepairDelta{Victim: vs[1], Fix: "upsize-driver"},
+	})
+	if rr2.FullRecompute || rr2.ClustersReused == 0 {
+		t.Errorf("chained repair on a repaired job reused nothing: %+v", rr2)
+	}
+	coldReq.DEF = rr2.DEF
+	cold2 := verifyOK(t, ts, coldReq)
+	if cold2.Cached {
+		t.Fatal("cold verify of the chained echo was served from cache")
+	}
+	if cold2.ReportText != rr2.ReportText {
+		t.Errorf("chained splice differs from cold verify of its echo:\n--- cold ---\n%s--- spliced ---\n%s",
+			cold2.ReportText, rr2.ReportText)
+	}
 }
 
 // TestReverifyInlineDEF: a client-supplied edited DEF (not a server-side
@@ -267,6 +304,89 @@ func TestReverifyInlineDEF(t *testing.T) {
 	}
 	if inline.DEF != "" {
 		t.Error("inline DEF reverify echoed a DEF it did not synthesize")
+	}
+}
+
+// offGridDEF rewrites a DEF written at 1,000 DBU/µm at 2,000 DBU/µm, with
+// every coordinate v moved to 2v+1 and every width doubled: the same design
+// shifted by half a nanometre, off WriteDEF's 1 nm grid.
+func offGridDEF(t *testing.T, def string) string {
+	t.Helper()
+	const units = "UNITS DISTANCE MICRONS 1000 ;"
+	if !strings.Contains(def, units) {
+		t.Fatal("DEF is not at 1,000 DBU/µm")
+	}
+	def = strings.Replace(def, units, "UNITS DISTANCE MICRONS 2000 ;", 1)
+	scale := func(tok string, off int) string {
+		v, err := strconv.Atoi(tok)
+		if err != nil {
+			t.Fatalf("bad DBU token %q", tok)
+		}
+		return strconv.Itoa(2*v + off)
+	}
+	point := regexp.MustCompile(`\( (-?\d+) (-?\d+) \)`)
+	def = point.ReplaceAllStringFunc(def, func(m string) string {
+		f := strings.Fields(m)
+		return "( " + scale(f[1], 1) + " " + scale(f[2], 1) + " )"
+	})
+	width := regexp.MustCompile(`METAL\d+ \d+`)
+	return width.ReplaceAllStringFunc(def, func(m string) string {
+		f := strings.Fields(m)
+		return f[0] + " " + scale(f[1], 0)
+	})
+}
+
+// upsizeComponent re-cells, in def's COMPONENTS section, the victim's first
+// driver instance (the first pin group of its NETS line: DEF writers list
+// drivers first) to the next stronger cell of its kind.
+func upsizeComponent(t *testing.T, def, victim string) string {
+	t.Helper()
+	pin := regexp.MustCompile(`(?m)^- ` + regexp.QuoteMeta(victim) + ` \( (\S+) `).FindStringSubmatch(def)
+	if pin == nil {
+		t.Fatalf("no NETS line for %s", victim)
+	}
+	comp := regexp.MustCompile(`(?m)^(- ` + regexp.QuoteMeta(pin[1]) + `) (\S+)( \+ PLACED)`)
+	m := comp.FindStringSubmatch(def)
+	if m == nil {
+		t.Fatalf("no COMPONENTS line for %s", pin[1])
+	}
+	cell, ok := cells.ByName(m[2])
+	if !ok {
+		t.Fatalf("unknown cell %s", m[2])
+	}
+	repl := cells.NextStronger(cell)
+	if repl == nil {
+		t.Fatalf("no cell stronger than %s", cell.Name)
+	}
+	return comp.ReplaceAllString(def, fmt.Sprintf("$1 %s$3", repl.Name))
+}
+
+// TestReverifyRepairOffGridBase: a repair edits the design the client
+// posted, not a copy re-quantized to the echo's grid. The base DEF lies half
+// a nanometre off WriteDEF's grid; the splice must reuse clusters and equal a
+// cold verify of the client's own DEF with the driver's COMPONENTS line
+// re-celled.
+func TestReverifyRepairOffGridBase(t *testing.T) {
+	def := offGridDEF(t, tinyDEF(t))
+	_, ts := newTestServer(t, Options{})
+	req := &VerifyRequest{DEF: def, Model: "fixed", CapRatioThreshold: 0.03}
+	base := verifyOK(t, ts, req)
+	victim := firstVictim(t, base.ReportText)
+	rr := reverifyOK(t, ts, &ReverifyRequest{
+		BaseJobID: base.JobID,
+		Repair:    &RepairDelta{Victim: victim, Fix: "upsize-driver"},
+	})
+	if rr.FullRecompute || rr.ClustersReused == 0 {
+		t.Errorf("repair on an off-grid base reused nothing: %+v", rr)
+	}
+	cold := verifyOK(t, ts, &VerifyRequest{DEF: upsizeComponent(t, def, victim), Model: req.Model,
+		CapRatioThreshold: req.CapRatioThreshold})
+	if cold.Cached {
+		t.Fatal("cold verify of the client's edited DEF was served from cache")
+	}
+	if cold.ReportText != rr.ReportText {
+		t.Errorf("splice differs from a cold verify of the client's edited DEF:\n--- cold ---\n%s--- spliced ---\n%s",
+			cold.ReportText, rr.ReportText)
 	}
 }
 
@@ -369,30 +489,5 @@ func TestReverifyBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET /v1/reverify = %d, want 405", resp.StatusCode)
 		}
-	}
-}
-
-// TestReverifyUnverifiedBaseNotCacheServed: a degraded (unverified > 0)
-// report must never be pinned into the repeat-request cache — once the
-// transient condition clears, a resubmission gets a clean run.
-func TestReverifyUnverifiedBaseNotCacheServed(t *testing.T) {
-	// Covered end-to-end by TestInjectedPanicsDegradeNotCrash, which
-	// resubmits after faults clear; here we pin the cache-key rule directly.
-	srv, _ := newTestServer(t, Options{})
-	art := &jobArtifacts{}
-	resp := &VerifyResponse{Unverified: 3}
-	key := ""
-	if resp.Unverified > 0 {
-		key = ""
-	}
-	id := srv.storeReport(key, xtverify.Config{}, art, resp)
-	if id == "" {
-		t.Fatal("no job id")
-	}
-	if _, ok := srv.lookupReport(""); ok {
-		t.Error(`cacheKey "" must never be a servable key`)
-	}
-	if srv.jobByID(id) == nil {
-		t.Error("job not anchorable by id")
 	}
 }

@@ -183,6 +183,7 @@ func TestStreamGuards(t *testing.T) {
 		"RunEM":        func() error { _, err := sv.RunEM(EMOptions{}); return err },
 		"TraceGlitch":  func() error { _, err := sv.TraceGlitch("ch0/n0"); return err },
 		"AdviseRepair": func() error { _, err := sv.AdviseRepair("ch0/n0"); return err },
+		"UpsizeDriver": func() error { _, err := sv.UpsizeDriver("ch0/n0", "", Config{}); return err },
 		"RefineTimingWindows": func() error {
 			_, err := sv.RefineTimingWindows(context.Background())
 			return err

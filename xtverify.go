@@ -173,7 +173,8 @@ type Config struct {
 	// (approximately) ascending-y net order in the input; incompatible with
 	// UseTimingWindows. The APIs that need the whole design in memory fail
 	// with ErrStreamIngest: WriteSPEF, WriteVerilog, WriteDEF, RunEM,
-	// RefineTimingWindows, TraceGlitch, AdviseRepair, BaseRun and Reverify.
+	// RefineTimingWindows, TraceGlitch, AdviseRepair, UpsizeDriver, BaseRun
+	// and Reverify.
 	StreamIngest bool
 	// StreamFrontierSlackUM is the tolerated out-of-orderness (µm) of
 	// streamed net arrival; 0 means extract.DefaultFrontierSlackUM. Only
