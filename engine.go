@@ -1,8 +1,9 @@
 // engine.go is the fault-tolerant, parallel cluster-verification engine —
-// one executor for the glitch run and the timing analyses, fed by one of two
-// cluster sources: the materialized source prunes a fully extracted chip,
-// the streamed source (stream_ingest.go) emits each cluster while the design
-// is still being read.
+// one executor for the glitch run, the timing analyses, a reverify splice's
+// signing and BaseRun's index, fed by one of two cluster sources: the
+// materialized source prunes a fully extracted chip, the streamed source
+// (stream_ingest.go) emits each cluster while the design is still being
+// read.
 //
 // The chip-level loop's whole value is coverage: a full-chip run over
 // thousands of coupled clusters must not die because one pathological
@@ -143,18 +144,12 @@ type runParams struct {
 	// timeout applies per attempt instead of once per cluster.
 	retries int
 	backoff time.Duration
-	// reuse, when non-nil, marks an incremental reverify: it is consulted
-	// once per cluster, serially, on the goroutine that emits the cluster,
-	// and a non-nil result is spliced into the run verbatim instead of being
-	// recomputed. The hook must return results bit-equal to what analysis
-	// would produce — the engine assembles spliced and fresh results through
-	// the same code path precisely so the report stays byte-identical to a
+	// base, when non-nil, marks an incremental reverify: each worker signs
+	// its cluster and takes base's recorded result when the signature
+	// certifies it (spliceCluster). Spliced and fresh results are assembled
+	// through the same code path, so the report stays byte-identical to a
 	// cold run.
-	reuse func(cl *prune.Cluster) *clusterResult
-	// clusters, when non-nil, is the materialized design's pruned cluster
-	// set, already computed by the caller (a reverify prunes to sign its
-	// clusters); the materialized source then skips its own pruning pass.
-	clusters []*prune.Cluster
+	base *BaseRun
 }
 
 // clusterUnit is everything cluster analysis reads: the pruned cluster plus
@@ -209,6 +204,11 @@ type clusterResult struct {
 	// order, during result assembly.
 	trace  *obs.Trace
 	impact *glitch.TimingImpact
+	// sig is the cluster's structural signature, set when the run signs
+	// (a splice or BaseRun's index); reused marks a result a splice took
+	// from its base instead of analyzing the cluster.
+	sig    string
+	reused bool
 	// err fails the run fast (the glitch ladder sets it in strict mode
 	// only), wrapped exactly like the historical serial loop wrapped it.
 	err error
@@ -221,13 +221,22 @@ type clusterResult struct {
 // is recorded as Unverified in the report's Diagnostics instead of aborting
 // the run. Cancelling ctx aborts promptly with ctx's error.
 func (v *Verifier) RunContext(ctx context.Context) (*Report, error) {
-	return v.runEngine(ctx, runParams{
+	rep, _, err := v.runEngine(ctx, v.glitchRun(nil))
+	return rep, err
+}
+
+// glitchRun resolves the configured execution of a glitch run against base
+// (nil for a cold run): one function, so a splice runs exactly as the cold
+// run it must reproduce.
+func (v *Verifier) glitchRun(base *BaseRun) runParams {
+	return runParams{
 		workers: v.cfg.Workers,
 		strict:  v.cfg.Strict,
 		timeout: v.cfg.ClusterTimeout,
 		retries: v.cfg.RungRetries,
 		backoff: v.cfg.RungRetryBackoff,
-	})
+		base:    base,
+	}
 }
 
 // baseGlitchOptions is the one place the run config is mapped onto the
@@ -314,17 +323,21 @@ func poolSize(workers int) int {
 }
 
 // runEngine is the glitch run: the executor runs the glitch ladder on every
-// cluster, then the report is assembled once.
-func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) {
+// cluster — or, against a base, the splice — then the report is assembled
+// once. It also returns the jobs, results set, in victim order.
+func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, []*engineJob, error) {
 	col := v.cfg.Collector
 	baseOpts := v.baseGlitchOptions()
 	cs := v.setupEngineCaches(&baseOpts)
 	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
 	jobs, info, err := v.runClusters(ctx, p, func(ctx context.Context, u clusterUnit) *clusterResult {
+		if p.base != nil {
+			return v.spliceCluster(ctx, baseOpts, u, p)
+		}
 		return v.analyzeCluster(ctx, baseOpts, u, p)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Diagnostics.Workers appears in the report, so it is clamped to the
@@ -343,9 +356,13 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) 
 	// One pass in victim order: every list below is deterministic and
 	// identical between serial and parallel runs.
 	sizes := make([]int, len(jobs))
+	var reused int64
 	for i, j := range jobs {
 		r := j.res
 		sizes[i] = j.size
+		if r.reused {
+			reused++
+		}
 		diag.Clusters = append(diag.Clusters, r.outcome)
 		// Serial, cluster-order merge: this is what makes the aggregated
 		// counter totals identical between serial and Workers=N runs.
@@ -378,6 +395,11 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) 
 	}
 	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
 	v.recordCacheDeltas(cs, diag, col)
+	if p.base != nil {
+		col.Add(obs.CtrReverifyJobs, 1)
+		col.Add(obs.CtrClustersReused, reused)
+		col.Add(obs.CtrClustersRecomputed, int64(len(jobs))-reused)
+	}
 	if col != nil {
 		col.SetWorkers(workers)
 		col.SetWallTime(diag.WallTime)
@@ -390,15 +412,16 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) 
 		}
 		return rep.Violations[i].Victim < rep.Violations[j].Victim
 	})
-	return rep, nil
+	return rep, jobs, nil
 }
 
 // runClusters is the one cluster executor. It starts the worker pool, has
 // the verifier's cluster source hand every cluster to one emit function —
 // the materialized source after pruning the whole chip, the streamed source
 // while ingest is still running — and runs analyze on each: the glitch
-// ladder or the delay impact. It returns the jobs, results set, in global
-// victim order; a result with err set fails the run fast.
+// ladder, a reverify splice's signing and reuse, BaseRun's signing, or the
+// delay impact. It returns the jobs, results set, in global victim order; a
+// result with err set fails the run fast.
 func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	analyze func(ctx context.Context, u clusterUnit) *clusterResult) ([]*engineJob, sourceInfo, error) {
 	col := v.cfg.Collector
@@ -429,17 +452,9 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	}
 
 	var jobs []*engineJob
-	var reused int64
 	emit := func(victim int, u clusterUnit) error {
 		j := &engineJob{victim: victim, size: u.cl.Size(), unit: u}
 		jobs = append(jobs, j)
-		if p.reuse != nil {
-			if r := p.reuse(u.cl); r != nil {
-				j.res, j.unit = r, clusterUnit{}
-				reused++
-				return nil
-			}
-		}
 		select {
 		case <-runCtx.Done():
 			return runCtx.Err()
@@ -452,7 +467,7 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	if v.src != nil {
 		info, serr = v.streamClusters(runCtx, emit)
 	} else {
-		info, serr = v.materializedClusters(p.clusters, emit)
+		info, serr = v.materializedClusters(emit)
 	}
 	close(jobCh)
 	wg.Wait()
@@ -487,25 +502,17 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 		// our own fail-fast cancellation (whose cause was returned above).
 		return nil, info, serr
 	}
-	if p.reuse != nil {
-		col.Add(obs.CtrReverifyJobs, 1)
-		col.Add(obs.CtrClustersReused, reused)
-		col.Add(obs.CtrClustersRecomputed, int64(len(jobs))-reused)
-	}
 	return jobs, info, nil
 }
 
 // materializedClusters is the materialized cluster source: it clusters the
-// whole-chip parasitics once — pruning them unless the caller already has —
-// and emits every cluster, in victim order, with the whole-chip views. The
-// prune span covers clustering only, not the time spent blocked handing
-// clusters to the pool.
-func (v *Verifier) materializedClusters(clusters []*prune.Cluster, emit emitFunc) (sourceInfo, error) {
+// whole-chip parasitics once and emits every cluster, in victim order, with
+// the whole-chip views. The prune span covers clustering only, not the time
+// spent blocked handing clusters to the pool.
+func (v *Verifier) materializedClusters(emit emitFunc) (sourceInfo, error) {
 	span := v.cfg.Collector.Start(obs.PhasePrune)
 	raw := prune.RawClusters(v.par)
-	if clusters == nil {
-		clusters = prune.Clusters(v.par, v.pruneOptions())
-	}
+	clusters := prune.Clusters(v.par, v.pruneOptions())
 	span.End()
 	info := sourceInfo{name: v.des.Name, nets: len(v.des.Nets), rawSizes: make([]int, len(raw))}
 	for i, g := range raw {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +185,85 @@ func TestReverifyIdentity(t *testing.T) {
 			if len(stats.StaleVictims) == 0 {
 				t.Errorf("recomputed clusters must be marked stale on the base: %+v", stats)
 			}
+
+			// The spliced report carries its own index: the splicing verifier
+			// gets it back without signing, and it equals what a verifier of
+			// the same design that does not own the report signs afresh.
+			idx, err := editV.BaseRun(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			otherV, err := NewVerifierFromDEF(strings.NewReader(defText), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			signed, err := otherV.BaseRun(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameIndex(t, idx, signed)
+			var again *BaseRun
+			allocs := testing.AllocsPerRun(10, func() { again, err = editV.BaseRun(rep) })
+			if allocs != 0 {
+				t.Errorf("BaseRun of a spliced report allocated %.0f times; want 0 (no pruning or signing)", allocs)
+			}
+			if err != nil || again != idx {
+				t.Errorf("repeat BaseRun = %p, %v; want the spliced index %p", again, err, idx)
+			}
+
+			// Chain a second edit on the spliced index: upsize the base's
+			// second violation on the edited design.
+			if len(baseRep.Violations) < 2 {
+				t.Fatalf("base has %d violations, want 2 to chain", len(baseRep.Violations))
+			}
+			def2 := upsizedDEF(t, editV, baseRep.Violations[1].Victim)
+			cold2V, err := NewVerifierFromDEF(strings.NewReader(def2), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold2, err := cold2V.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			chainV, err := NewVerifierFromDEF(strings.NewReader(def2), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep2, stats2, err := chainV.Reverify(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := identityText(t, rep2), identityText(t, cold2); got != want {
+				t.Errorf("chained splice differs from cold run:\n--- cold ---\n%s--- spliced ---\n%s", want, got)
+			}
+			if stats2.ClustersReused == 0 {
+				t.Errorf("chained upsize reused nothing: %+v", stats2)
+			}
 		})
+	}
+}
+
+// sameIndex fails unless two reverify indexes hold the same victims, each
+// with the same signature bytes, outcome and violation.
+func sameIndex(t *testing.T, got, want *BaseRun) {
+	t.Helper()
+	if got.Entries() != want.Entries() {
+		t.Fatalf("index has %d entries, want %d", got.Entries(), want.Entries())
+	}
+	//xtlint:sorted visit order immaterial: each victim is compared independently
+	for victim, w := range want.entries {
+		g := got.entries[victim]
+		switch {
+		case g == nil:
+			t.Errorf("%s: missing from the index", victim)
+		case g.sig != w.sig:
+			t.Errorf("%s: signature differs (%d vs %d bytes)", victim, len(g.sig), len(w.sig))
+		case !reflect.DeepEqual(g.outcome, w.outcome):
+			t.Errorf("%s: outcome %+v, want %+v", victim, g.outcome, w.outcome)
+		case (g.violation == nil) != (w.violation == nil) ||
+			g.violation != nil && *g.violation != *w.violation:
+			t.Errorf("%s: violation %+v, want %+v", victim, g.violation, w.violation)
+		}
 	}
 }
 

@@ -290,6 +290,10 @@ type Report struct {
 	// count, degraded and unverified clusters, wall time). Populated by
 	// Run and RunContext.
 	Diagnostics *Diagnostics
+	// index is the reverify index a splice built for this report, the
+	// signatures and outcomes it just produced; BaseRun returns it to the
+	// verifier that spliced, nil for any other report (reverify.go).
+	index *BaseRun
 }
 
 // WriteText renders a human-readable report.
@@ -464,5 +468,6 @@ func NewVerifierFromDEF(r io.Reader, cfg Config) (*Verifier, error) {
 // the parallel, fault-tolerant variant.
 func (v *Verifier) Run() (*Report, error) {
 	//xtlint:background Run is the historical strict-serial entry; it delegates to the shared engine, not to a RunContext wrapper
-	return v.runEngine(context.Background(), runParams{workers: 1, strict: true})
+	rep, _, err := v.runEngine(context.Background(), runParams{workers: 1, strict: true})
+	return rep, err
 }
