@@ -678,25 +678,33 @@ func BenchmarkPropagation(b *testing.B) {
 	b.ReportMetric(float64(last.Filtered), "filtered")
 }
 
-// BenchmarkReverify measures the incremental ECO splice against the full
-// re-run it replaces, on the BenchmarkChipVerify design (~148 clusters): one
-// driver upsize, then Reverify per iteration vs one timed cold Run of the
-// edited design. speedup-x is the acceptance gate (>= 10x); the spliced
-// report is byte-compared against the cold run every iteration.
-func BenchmarkReverify(b *testing.B) {
+// reverifyBenchDEF renders BenchmarkReverify's design as DEF — the
+// BenchmarkChipVerify DSP at a relaxed 1.8 µm pitch, 162 nets — and returns
+// the config it is verified under (TimingLibrary, 148 clusters).
+func reverifyBenchDEF(tb testing.TB) (string, Config) {
+	tb.Helper()
 	dspCfg := DSPConfig{Seed: 1999, Channels: 2, TracksPerChannel: 80,
 		ChannelLengthUM: 70, BusFraction: 0.05, LatchFraction: 0.25,
 		ClockSpines: 1, TrackPitchUM: 1.8}
 	cfg := Config{Model: TimingLibrary}
 	gen, err := NewVerifierFromDSP(dspCfg, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := gen.WriteDEF(&sb); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	baseDEF := sb.String()
+	return sb.String(), cfg
+}
+
+// BenchmarkReverify measures the incremental ECO splice against the full
+// re-run it replaces, on the BenchmarkChipVerify design (~148 clusters): one
+// driver upsize, then Reverify per iteration vs one timed cold Run of the
+// edited design. speedup-x is the acceptance gate (>= 10x); the spliced
+// report is byte-compared against the cold run every iteration.
+func BenchmarkReverify(b *testing.B) {
+	baseDEF, cfg := reverifyBenchDEF(b)
 	baseV, err := NewVerifierFromDEF(strings.NewReader(baseDEF), cfg)
 	if err != nil {
 		b.Fatal(err)
