@@ -598,18 +598,28 @@ func BenchmarkTimingImpact(b *testing.B) {
 	b.ReportMetric(last.DeterioratePct.Mean, "mean-deterioration-pct")
 }
 
-// BenchmarkEMAudit measures the electromigration current audit.
+// BenchmarkEMAudit measures the electromigration current audit, generation
+// and extraction included.
 func BenchmarkEMAudit(b *testing.B) {
-	cfg := dsp.Config{Seed: 3, Channels: 1, TracksPerChannel: 30, ChannelLengthUM: 900, ClockSpines: 1}
-	var last *exp.EMStudyResult
+	cfg := DSPConfig{Seed: 3, Channels: 1, TracksPerChannel: 30, ChannelLengthUM: 900, ClockSpines: 1}
+	violations := 0
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunEMStudy(cfg, 200e6, 0)
+		v, err := NewVerifierFromDSP(cfg, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = r
+		rs, err := v.RunEM(EMOptions{ActivityHz: 200e6})
+		if err != nil {
+			b.Fatal(err)
+		}
+		violations = 0
+		for _, r := range rs {
+			if r.Violation {
+				violations++
+			}
+		}
 	}
-	b.ReportMetric(float64(last.Violations), "violations")
+	b.ReportMetric(float64(violations), "violations")
 }
 
 // BenchmarkSPICEAdaptive contrasts adaptive and fixed-step SPICE transients

@@ -28,7 +28,7 @@ import (
 var (
 	scale    = flag.Float64("scale", 1.0, "population scale factor (0 < scale <= 1); smaller runs fewer cases")
 	seed     = flag.Int64("seed", 1999, "synthetic DSP seed")
-	workers  = flag.Int("workers", 0, "parallel cluster workers for the verify experiment (0 = GOMAXPROCS)")
+	workers  = flag.Int("workers", 0, "parallel cluster workers for the verify and em experiments (0 = GOMAXPROCS)")
 	strict   = flag.Bool("strict", false, "fail fast in the verify experiment instead of degrading")
 	noScreen = flag.Bool("no-screen", false, "disable the rung-0 analytic screen in the verify experiment (A/B; screened clusters are conservative passes)")
 	romCap   = flag.Int("rom-cache-cap", 0, "in-memory ROM cache capacity in entries for the verify experiment (0 = default)")
@@ -96,6 +96,35 @@ func dspCfg() dsp.Config {
 		cfg.Channels = scaled(cfg.Channels)
 	}
 	return cfg
+}
+
+// runEM is the electromigration current audit of the synthetic DSP at
+// 200 MHz: the ten worst nets by RMS utilization and the totals.
+func runEM() (string, error) {
+	v, err := xtverify.NewVerifierFromDSP(xtverify.DSPConfig(dspCfg()), xtverify.Config{Workers: *workers})
+	if err != nil {
+		return "", err
+	}
+	rs, err := v.RunEM(xtverify.EMOptions{ActivityHz: 200e6})
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.WriteString("Electromigration current audit (avg/RMS/peak vs width limits)\n")
+	fmt.Fprintf(&b, "%-24s %-10s %9s %9s %9s\n", "net", "driver", "Iavg(mA)", "Irms(mA)", "Ipk(mA)")
+	violations := 0
+	for i, r := range rs {
+		mark := ""
+		if r.Violation {
+			violations++
+			mark = "  << VIOLATION"
+		}
+		if i < 10 {
+			fmt.Fprintf(&b, "%-24s %-10s %9.3f %9.3f %9.3f%s\n", r.Net, r.DriverCell, r.IAvgMA, r.IRMSMA, r.IPeakMA, mark)
+		}
+	}
+	fmt.Fprintf(&b, "nets audited: %d, violations: %d\n", len(rs), violations)
+	return b.String(), nil
 }
 
 func accuracyCfg() exp.AccuracyConfig {
@@ -188,11 +217,7 @@ func run(name string) (string, error) {
 		}
 		return r.Render(), nil
 	case "em":
-		r, err := exp.RunEMStudy(dspCfg(), 200e6, 0)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return runEM()
 	case "prop":
 		r, err := exp.RunPropagation(dspCfg(), scaled(60), 0.10)
 		if err != nil {

@@ -53,7 +53,7 @@ func run() int {
 		retries  = flag.Int("rung-retries", 0, "retries per fallback rung for transiently timed-out clusters")
 		romCap   = flag.Int("rom-cache-cap", 0, "in-memory ROM cache capacity in entries (0 = default)")
 		romDir   = flag.String("rom-store", "", "directory for the disk-persistent ROM cache (empty = in-memory only)")
-		stream   = flag.Bool("stream", false, "stream the design through bounded-memory ingest: clusters are verified while the input is still being read (identical report; incompatible with -windows, -em and the design writers)")
+		stream   = flag.Bool("stream", false, "stream the design through bounded-memory ingest: clusters are verified while the input is still being read (identical report; incompatible with -windows and the design writers)")
 		streamSl = flag.Float64("stream-slack", 0, "frontier slack in µm for -stream (0 = default)")
 		metrics  = flag.String("metrics-out", "", "write the run's metrics snapshot to this JSON file")
 		pprofOn  = flag.String("pprof", "", "serve expvar/pprof on this address (e.g. :6060); metrics appear live at /debug/vars under \"xtverify\"")
@@ -83,7 +83,6 @@ func run() int {
 		}{
 			{*windows, "-windows"}, {*spefOut != "", "-spef"},
 			{*vlogOut != "", "-verilog"}, {*defOut != "", "-def"},
-			{*emFlag, "-em"},
 		} {
 			if bad.set {
 				fmt.Fprintf(os.Stderr, "%s needs the materialized design and cannot be combined with -stream\n", bad.name)
@@ -217,13 +216,19 @@ func run() int {
 		}
 		fmt.Printf("wrote metrics to %s\n", *metrics)
 	}
+	// A streamed DEF verifier reads its input once per run, so every run
+	// after the first starts from a rewound file.
+	rewind := func() error {
+		if in == nil {
+			return nil
+		}
+		_, err := in.Seek(0, io.SeekStart)
+		return err
+	}
 	if *timFlag {
-		if in != nil {
-			// A streamed DEF verifier reads its input once per run.
-			if _, err := in.Seek(0, io.SeekStart); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
+		if err := rewind(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		impacts, err := v.RunTimingImpactContext(ctx, true)
 		if err != nil {
@@ -237,6 +242,10 @@ func run() int {
 		}
 	}
 	if *emFlag {
+		if err := rewind(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 		rs, err := v.RunEM(xtverify.EMOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

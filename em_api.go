@@ -1,8 +1,11 @@
 package xtverify
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"xtverify/internal/em"
 )
@@ -29,32 +32,42 @@ type EMResult struct {
 
 // RunEM audits every non-clock net's driver current (average, RMS, peak)
 // against electromigration limits — the analysis the paper's Section 4.2
-// cites as requiring waveform-accurate cell models. Results are sorted
-// worst-first by RMS utilization.
+// cites as requiring waveform-accurate cell models. It runs one net per unit
+// on the cluster executor, on Config.Workers and either source, with results
+// independent of both. Results are sorted worst-first by RMS utilization,
+// ties in net order. A failure returns the first failing net in net order.
 func (v *Verifier) RunEM(opt EMOptions) ([]EMResult, error) {
-	if err := v.requireMaterialized("RunEM"); err != nil {
-		return nil, err
-	}
-	rs, err := em.AnalyzeDesign(v.par, em.Options{ActivityHz: opt.ActivityHz})
+	eopt := em.Options{ActivityHz: opt.ActivityHz}
+	//xtlint:background RunEM has no context to plumb; the executor stops when the nets run out
+	jobs, _, err := v.runClusters(context.Background(), runParams{workers: v.cfg.Workers, perNet: true},
+		func(_ context.Context, u clusterUnit) *clusterResult {
+			r, err := em.AnalyzeNet(u.par, u.cl.Victim, eopt)
+			if err != nil {
+				return &clusterResult{err: fmt.Errorf("em: net %s: %w", u.des.Nets[u.cl.Victim].Name, err)}
+			}
+			util := 0.0
+			if r.WidthM > 0 {
+				util = r.IRMSA / (r.Limits.RMSAPerM * r.WidthM)
+			}
+			return &clusterResult{em: &EMResult{
+				Net:            r.Net,
+				DriverCell:     r.DriverCell,
+				IAvgMA:         r.IAvgA * 1e3,
+				IRMSMA:         r.IRMSA * 1e3,
+				IPeakMA:        r.IPeakA * 1e3,
+				RMSUtilization: util,
+				Violation:      r.Violated(),
+			}}
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]EMResult, 0, len(rs))
-	for _, r := range rs {
-		util := 0.0
-		if r.WidthM > 0 {
-			util = r.IRMSA / (r.Limits.RMSAPerM * r.WidthM)
-		}
-		out = append(out, EMResult{
-			Net:            r.Net,
-			DriverCell:     r.DriverCell,
-			IAvgMA:         r.IAvgA * 1e3,
-			IRMSMA:         r.IRMSA * 1e3,
-			IPeakMA:        r.IPeakA * 1e3,
-			RMSUtilization: util,
-			Violation:      r.Violated(),
-		})
+	out := make([]EMResult, len(jobs))
+	for i, j := range jobs {
+		out[i] = *j.res.em
 	}
+	// Stable: the jobs come in net order, so equal utilizations keep it.
+	slices.SortStableFunc(out, func(a, b EMResult) int { return cmp.Compare(b.RMSUtilization, a.RMSUtilization) })
 	return out, nil
 }
 

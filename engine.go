@@ -1,9 +1,9 @@
 // engine.go is the fault-tolerant, parallel cluster-verification engine —
 // one executor for the glitch run, the timing analyses, a reverify splice's
-// signing and BaseRun's index, fed by one of two cluster sources: the
-// materialized source prunes a fully extracted chip, the streamed source
-// (stream_ingest.go) emits each cluster while the design is still being
-// read.
+// signing, BaseRun's index and the EM audit, fed by one of two cluster
+// sources: the materialized source prunes a fully extracted chip, the
+// streamed source (stream_ingest.go) emits each cluster while the design is
+// still being read.
 //
 // The chip-level loop's whole value is coverage: a full-chip run over
 // thousands of coupled clusters must not die because one pathological
@@ -150,13 +150,18 @@ type runParams struct {
 	// through the same code path, so the report stays byte-identical to a
 	// cold run.
 	base *BaseRun
+	// perNet makes either source emit one unit per non-clock net, in place
+	// of one per pruned cluster: the unit's cluster is that net alone, with
+	// no aggressors. The EM audit reads every net, clustered or not.
+	perNet bool
 }
 
 // clusterUnit is everything cluster analysis reads: the pruned cluster plus
 // the parasitics/design its indices resolve against. The materialized source
 // passes the whole-chip views; the streamed source passes component-scoped
 // views whose local numbering reproduces the global computation bit for bit
-// (see internal/prune stream.go).
+// (see internal/prune stream.go). An analysis reads nothing else of the
+// design, so it runs unchanged on either source.
 type clusterUnit struct {
 	cl  *prune.Cluster
 	par *extract.Parasitics
@@ -195,7 +200,8 @@ type engineJob struct {
 }
 
 // clusterResult is one worker's output for one cluster: impact for the
-// delay analysis, the other fields for the glitch analysis.
+// delay analysis, em for the EM audit, the other fields for the glitch
+// analysis.
 type clusterResult struct {
 	outcome   ClusterOutcome
 	violation *Violation
@@ -204,6 +210,7 @@ type clusterResult struct {
 	// order, during result assembly.
 	trace  *obs.Trace
 	impact *glitch.TimingImpact
+	em     *EMResult
 	// sig is the cluster's structural signature, set when the run signs
 	// (a splice or BaseRun's index); reused marks a result a splice took
 	// from its base instead of analyzing the cluster.
@@ -419,9 +426,10 @@ func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, []*engi
 // the verifier's cluster source hand every cluster to one emit function —
 // the materialized source after pruning the whole chip, the streamed source
 // while ingest is still running — and runs analyze on each: the glitch
-// ladder, a reverify splice's signing and reuse, BaseRun's signing, or the
-// delay impact. It returns the jobs, results set, in global victim order; a
-// result with err set fails the run fast.
+// ladder, a reverify splice's signing and reuse, BaseRun's signing, the
+// delay impact, or (with p.perNet) the EM audit. It returns the jobs,
+// results set, in global victim order; a result with err set fails the run
+// fast.
 func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	analyze func(ctx context.Context, u clusterUnit) *clusterResult) ([]*engineJob, sourceInfo, error) {
 	col := v.cfg.Collector
@@ -438,7 +446,7 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 					continue // run aborted: leave the slot unattempted
 				}
 				col.TaskStarted()
-				j.res = analyze(runCtx, j.unit)
+				j.res = analyzeRecovered(runCtx, j.unit, analyze)
 				// Release the views: a streamed component's mini design and
 				// parasitics are garbage once its clusters are analyzed, and
 				// the caller only reads res, size and victim.
@@ -465,9 +473,9 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	var info sourceInfo
 	var serr error
 	if v.src != nil {
-		info, serr = v.streamClusters(runCtx, emit)
+		info, serr = v.streamClusters(runCtx, p.perNet, emit)
 	} else {
-		info, serr = v.materializedClusters(emit)
+		info, serr = v.materializedClusters(p.perNet, emit)
 	}
 	close(jobCh)
 	wg.Wait()
@@ -505,14 +513,32 @@ func (v *Verifier) runClusters(ctx context.Context, p runParams,
 	return jobs, info, nil
 }
 
+// analyzeRecovered runs analyze on u and turns a panic into an ErrPanic
+// result naming the victim, which fails the run instead of the process.
+func analyzeRecovered(ctx context.Context, u clusterUnit,
+	analyze func(ctx context.Context, u clusterUnit) *clusterResult) (res *clusterResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = &clusterResult{err: fmt.Errorf("%w: victim %s: %v", ErrPanic, u.des.Nets[u.cl.Victim].Name, r)}
+		}
+	}()
+	return analyze(ctx, u)
+}
+
 // materializedClusters is the materialized cluster source: it clusters the
-// whole-chip parasitics once and emits every cluster, in victim order, with
-// the whole-chip views. The prune span covers clustering only, not the time
-// spent blocked handing clusters to the pool.
-func (v *Verifier) materializedClusters(emit emitFunc) (sourceInfo, error) {
+// whole-chip parasitics once and emits every cluster — or, with perNet,
+// every non-clock net unpruned — in victim order, with the whole-chip
+// views. The prune span covers clustering only, not the time spent blocked
+// handing clusters to the pool.
+func (v *Verifier) materializedClusters(perNet bool, emit emitFunc) (sourceInfo, error) {
 	span := v.cfg.Collector.Start(obs.PhasePrune)
 	raw := prune.RawClusters(v.par)
-	clusters := prune.Clusters(v.par, v.pruneOptions())
+	var clusters []*prune.Cluster
+	if perNet {
+		clusters = netUnits(v.des)
+	} else {
+		clusters = prune.Clusters(v.par, v.pruneOptions())
+	}
 	span.End()
 	info := sourceInfo{name: v.des.Name, nets: len(v.des.Nets), rawSizes: make([]int, len(raw))}
 	for i, g := range raw {
@@ -524,6 +550,18 @@ func (v *Verifier) materializedClusters(emit emitFunc) (sourceInfo, error) {
 		}
 	}
 	return info, nil
+}
+
+// netUnits returns the per-net units of d (runParams.perNet): one cluster
+// per non-clock net, that net alone, in net order.
+func netUnits(d *design.Design) []*prune.Cluster {
+	var out []*prune.Cluster
+	for i, n := range d.Nets {
+		if !n.ClockNet {
+			out = append(out, &prune.Cluster{Victim: i})
+		}
+	}
+	return out
 }
 
 // analyzeCluster runs one cluster down the ladder (or just the fast path in

@@ -45,8 +45,10 @@ var (
 	ErrBaseUnusable = errors.New("xtverify: base report unusable for reverify")
 	// ErrStreamIngest marks an operation that needs the whole design
 	// materialized in memory, requested on a streaming verifier
-	// (Config.StreamIngest) — or a streaming-only knob used where streaming
-	// is impossible. Re-ingest without StreamIngest to use these APIs.
+	// (Config.StreamIngest): one of the seven APIs that write or edit the
+	// design (see Config.StreamIngest) — or a streaming-impossible knob
+	// (UseTimingWindows). Every analysis on the cluster executor accepts a
+	// streaming verifier. Re-ingest without StreamIngest to use these APIs.
 	ErrStreamIngest = errors.New("xtverify: operation incompatible with streaming ingest")
 )
 

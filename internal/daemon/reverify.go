@@ -53,9 +53,15 @@ type cachedJob struct {
 	baseErr  error
 }
 
-// baseRun returns the job's reverify index, built on first use.
+// baseRun returns the job's reverify index, built on first use. A streamed
+// job has none: indexing re-reads the verifier's source, and its DEF reader
+// was spent by the job's own run.
 func (j *cachedJob) baseRun() (*xtverify.BaseRun, error) {
 	j.baseOnce.Do(func() {
+		if j.cfg.StreamIngest {
+			j.baseErr = fmt.Errorf("%w: base job %s was streamed and its input is spent", xtverify.ErrBaseUnusable, j.id)
+			return
+		}
 		j.base, j.baseErr = j.verifier.BaseRun(j.report)
 	})
 	return j.base, j.baseErr
@@ -293,8 +299,9 @@ func (s *Server) handleReverify(w http.ResponseWriter, r *http.Request) {
 	cfg := base.cfg
 	cfg.Collector = xtverify.NewMetricsCollector()
 	// A reverify materializes the edited design whatever the base job did:
-	// splicing needs cluster-level random access, and StreamIngest is not
-	// part of the canonical config, so clearing it cannot cause a mismatch.
+	// the job it leaves behind must be able to anchor repairs, which edit
+	// the design in memory. StreamIngest is not part of the canonical
+	// config, so clearing it cannot cause a mismatch.
 	cfg.StreamIngest = false
 
 	var (

@@ -13,10 +13,7 @@
 package em
 
 import (
-	"cmp"
-	"fmt"
 	"math"
-	"slices"
 
 	"xtverify/internal/cellmodel"
 	"xtverify/internal/cells"
@@ -177,32 +174,4 @@ func (c *cycleDriver) Current(v, t float64) (float64, float64) {
 		return c.up.Current(v, t)
 	}
 	return c.down.Current(v, t)
-}
-
-// AnalyzeDesign audits every non-clock net and returns results sorted by
-// severity (worst RMS utilization first).
-func AnalyzeDesign(par *extract.Parasitics, opt Options) ([]*Result, error) {
-	var out []*Result
-	for i, net := range par.Design.Nets {
-		if net.ClockNet {
-			continue // clock EM is handled by dedicated grids in practice
-		}
-		r, err := AnalyzeNet(par, i, opt)
-		if err != nil {
-			return nil, fmt.Errorf("em: net %s: %w", net.Name, err)
-		}
-		out = append(out, r)
-	}
-	sortBySeverity(out)
-	return out, nil
-}
-
-func sortBySeverity(rs []*Result) {
-	util := func(r *Result) float64 {
-		if r.WidthM == 0 {
-			return 0
-		}
-		return r.IRMSA / (r.Limits.RMSAPerM * r.WidthM)
-	}
-	slices.SortStableFunc(rs, func(a, b *Result) int { return cmp.Compare(util(b), util(a)) })
 }

@@ -91,30 +91,6 @@ func TestStrongDriverOnNarrowWireViolates(t *testing.T) {
 	}
 }
 
-func TestAnalyzeDesignSortsBySeverity(t *testing.T) {
-	d, err := dsp.Generate(dsp.Config{Seed: 41, Channels: 1, TracksPerChannel: 8, ChannelLengthUM: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := extract.Extract(d, extract.Tech025())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := AnalyzeDesign(p, Options{ActivityHz: 300e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) == 0 {
-		t.Fatal("no results")
-	}
-	util := func(r *Result) float64 { return r.IRMSA / (r.Limits.RMSAPerM * r.WidthM) }
-	for i := 1; i < len(rs); i++ {
-		if util(rs[i]) > util(rs[i-1])+1e-12 {
-			t.Fatal("results not sorted by severity")
-		}
-	}
-}
-
 func TestLimitsDefaults(t *testing.T) {
 	l := DefaultLimits()
 	if l.AvgAPerM != 1000 || l.RMSAPerM != 2000 || l.PeakAPerM != 10000 {

@@ -6,10 +6,7 @@ import (
 	"strings"
 
 	"xtverify/internal/dsp"
-	"xtverify/internal/em"
-	"xtverify/internal/extract"
 	"xtverify/internal/glitch"
-	"xtverify/internal/prune"
 	"xtverify/internal/stats"
 )
 
@@ -76,61 +73,3 @@ func (r *TimingImpactResult) Render() string {
 		len(r.Impacts), r.DeterioratePct.Mean, r.DeterioratePct.P90, r.WorstDeltaPS)
 	return b.String()
 }
-
-// EMStudyResult is the electromigration current audit across the design.
-type EMStudyResult struct {
-	Results    []*em.Result
-	Violations int
-}
-
-// RunEMStudy audits driver currents across the synthetic DSP.
-func RunEMStudy(cfg dsp.Config, activityHz float64, maxNets int) (*EMStudyResult, error) {
-	if cfg.Channels == 0 {
-		cfg = dsp.DefaultConfig()
-	}
-	d, err := dsp.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	par, err := extract.Extract(d, extract.Tech025())
-	if err != nil {
-		return nil, err
-	}
-	rs, err := em.AnalyzeDesign(par, em.Options{ActivityHz: activityHz})
-	if err != nil {
-		return nil, err
-	}
-	if maxNets > 0 && len(rs) > maxNets {
-		rs = rs[:maxNets]
-	}
-	out := &EMStudyResult{Results: rs}
-	for _, r := range rs {
-		if r.Violated() {
-			out.Violations++
-		}
-	}
-	return out, nil
-}
-
-// Render prints the worst utilizations.
-func (r *EMStudyResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Electromigration current audit (avg/RMS/peak vs width limits)\n")
-	fmt.Fprintf(&b, "%-24s %-10s %9s %9s %9s\n", "net", "driver", "Iavg(mA)", "Irms(mA)", "Ipk(mA)")
-	n := len(r.Results)
-	if n > 10 {
-		n = 10
-	}
-	for _, res := range r.Results[:n] {
-		mark := ""
-		if res.Violated() {
-			mark = "  << VIOLATION"
-		}
-		fmt.Fprintf(&b, "%-24s %-10s %9.3f %9.3f %9.3f%s\n",
-			res.Net, res.DriverCell, res.IAvgA*1e3, res.IRMSA*1e3, res.IPeakA*1e3, mark)
-	}
-	fmt.Fprintf(&b, "nets audited: %d, violations: %d\n", len(r.Results), r.Violations)
-	return b.String()
-}
-
-var _ = prune.DefaultOptions

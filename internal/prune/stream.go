@@ -22,30 +22,20 @@ import (
 	"xtverify/internal/extract"
 )
 
-// StreamedCluster is one pruned analysis unit emitted by the streaming
-// clusterer: a Cluster whose indices are local to the component-scoped
-// parasitics in Par.
-type StreamedCluster struct {
-	// GlobalVictim is the victim's index in the full design — the key
-	// report assembly sorts by.
-	GlobalVictim int
-	// Par is the component-scoped parasitics (Par.Design is the
-	// component-scoped design, victims and aggressors renumbered 0..n-1 in
-	// ascending global order).
-	Par *extract.Parasitics
-	// Cluster is the pruned cluster in local indices.
-	Cluster *Cluster
-}
-
 // ClosedComponent is one coupled component whose last member retired.
 type ClosedComponent struct {
 	// Members lists the component's global net indices, ascending — the
 	// local index of a net in the component-scoped parasitics is its
 	// position here.
 	Members []int
-	// Clusters holds the component's eligible victims in ascending global
-	// index order; empty when pruning kept no aggressor for any member.
-	Clusters []*StreamedCluster
+	// Par is the component-scoped parasitics; Par.Design is the
+	// component-scoped design, its nets renumbered 0..n-1 in ascending
+	// global order.
+	Par *extract.Parasitics
+	// Clusters holds the component's pruned clusters in local indices
+	// (victim Members[cl.Victim]), ascending; empty when pruning kept no
+	// aggressor for any member.
+	Clusters []*Cluster
 }
 
 // netEntry is the retained state for one live (or closed-pending) net.
@@ -243,14 +233,7 @@ func (s *StreamClusterer) close(c *ufComponent) (*ClosedComponent, error) {
 	}
 	mp := extract.NewParasitics(md, s.tech, nets, couplings)
 
-	closed := &ClosedComponent{Members: members}
-	for _, cl := range Clusters(mp, s.opt) {
-		closed.Clusters = append(closed.Clusters, &StreamedCluster{
-			GlobalVictim: members[cl.Victim],
-			Par:          mp,
-			Cluster:      cl,
-		})
-	}
+	closed := &ClosedComponent{Members: members, Par: mp, Clusters: Clusters(mp, s.opt)}
 
 	for _, gi := range members {
 		delete(s.entries, gi)

@@ -14,21 +14,17 @@ import (
 )
 
 // streamAll feeds a materialized design through the streaming kernel +
-// clusterer and returns every emitted cluster plus the closed components.
-func streamAll(t *testing.T, d *design.Design, slackUM float64, opt prune.Options) ([]*prune.StreamedCluster, []*prune.ClosedComponent) {
+// clusterer and returns the closed components.
+func streamAll(t *testing.T, d *design.Design, slackUM float64, opt prune.Options) []*prune.ClosedComponent {
 	t.Helper()
 	str := extract.NewStreamer(nil, slackUM)
 	sc := prune.NewStreamClusterer(d.Name, str.Tech(), opt)
-	var clusters []*prune.StreamedCluster
 	var comps []*prune.ClosedComponent
 	drain := func(closed []*prune.ClosedComponent, err error) {
 		if err != nil {
 			t.Fatalf("retire: %v", err)
 		}
-		for _, c := range closed {
-			comps = append(comps, c)
-			clusters = append(clusters, c.Clusters...)
-		}
+		comps = append(comps, closed...)
 	}
 	marks := make(map[int][][2]int)
 	for _, p := range d.Complementary {
@@ -56,7 +52,16 @@ func streamAll(t *testing.T, d *design.Design, slackUM float64, opt prune.Option
 	if got := sc.LiveNets(); got != 0 {
 		t.Fatalf("clusterer leaked %d live nets after Finish", got)
 	}
-	return clusters, comps
+	return comps
+}
+
+// clusterCount is the number of clusters the components hold.
+func clusterCount(comps []*prune.ClosedComponent) int {
+	n := 0
+	for _, c := range comps {
+		n += len(c.Clusters)
+	}
+	return n
 }
 
 // checkEquality verifies the streamed cluster set matches the materialized
@@ -74,9 +79,9 @@ func checkEquality(t *testing.T, d *design.Design, slackUM float64, opt prune.Op
 		wantBy[cl.Victim] = cl
 	}
 
-	got, comps := streamAll(t, d, slackUM, opt)
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d clusters, materialized %d", len(got), len(want))
+	comps := streamAll(t, d, slackUM, opt)
+	if got := clusterCount(comps); got != len(want) {
+		t.Fatalf("streamed %d clusters, materialized %d", got, len(want))
 	}
 	// Raw component population must match RawClusters' ≥2-sized components.
 	raw := 0
@@ -95,56 +100,44 @@ func checkEquality(t *testing.T, d *design.Design, slackUM float64, opt prune.Op
 		t.Fatalf("streamed %d raw components (size ≥ 2), materialized %d", rawStreamed, raw)
 	}
 
-	for _, scl := range got {
-		w := wantBy[scl.GlobalVictim]
-		if w == nil {
-			t.Fatalf("streamed victim %d not in materialized cluster set", scl.GlobalVictim)
-		}
-		members := memberIndex(t, comps, scl)
-		if len(scl.Cluster.Aggressors) != len(w.Aggressors) {
-			t.Fatalf("victim %d: %d streamed aggressors, want %d", scl.GlobalVictim, len(scl.Cluster.Aggressors), len(w.Aggressors))
-		}
-		for i, a := range scl.Cluster.Aggressors {
-			if members[a.Net] != w.Aggressors[i].Net {
-				t.Errorf("victim %d aggressor %d: net %d, want %d", scl.GlobalVictim, i, members[a.Net], w.Aggressors[i].Net)
-			}
-			if a.CouplingF != w.Aggressors[i].CouplingF {
-				t.Errorf("victim %d aggressor %d: coupling %g, want %g (must be bitwise equal)", scl.GlobalVictim, i, a.CouplingF, w.Aggressors[i].CouplingF)
-			}
-		}
-		if scl.Cluster.KeptF != w.KeptF || scl.Cluster.DroppedF != w.DroppedF {
-			t.Errorf("victim %d: kept/dropped %g/%g, want %g/%g", scl.GlobalVictim, scl.Cluster.KeptF, scl.Cluster.DroppedF, w.KeptF, w.DroppedF)
-		}
-
-		wantCkt, err := prune.BuildCircuit(p, w)
-		if err != nil {
-			t.Fatalf("materialized BuildCircuit(%d): %v", w.Victim, err)
-		}
-		gotCkt, err := prune.BuildCircuit(scl.Par, scl.Cluster)
-		if err != nil {
-			t.Fatalf("streamed BuildCircuit(%d): %v", scl.GlobalVictim, err)
-		}
-		wantFP := prune.Fingerprint(wantCkt, 1e-9, 8, false)
-		gotFP := prune.Fingerprint(gotCkt, 1e-9, 8, false)
-		if wantFP != gotFP {
-			t.Errorf("victim %d: circuit fingerprint diverged between streamed and materialized builds", scl.GlobalVictim)
-		}
-	}
-}
-
-// memberIndex finds the component a streamed cluster came from and returns
-// its local→global index map.
-func memberIndex(t *testing.T, comps []*prune.ClosedComponent, scl *prune.StreamedCluster) []int {
-	t.Helper()
 	for _, c := range comps {
+		members := c.Members
 		for _, cl := range c.Clusters {
-			if cl == scl {
-				return c.Members
+			victim := members[cl.Victim]
+			w := wantBy[victim]
+			if w == nil {
+				t.Fatalf("streamed victim %d not in materialized cluster set", victim)
+			}
+			if len(cl.Aggressors) != len(w.Aggressors) {
+				t.Fatalf("victim %d: %d streamed aggressors, want %d", victim, len(cl.Aggressors), len(w.Aggressors))
+			}
+			for i, a := range cl.Aggressors {
+				if members[a.Net] != w.Aggressors[i].Net {
+					t.Errorf("victim %d aggressor %d: net %d, want %d", victim, i, members[a.Net], w.Aggressors[i].Net)
+				}
+				if a.CouplingF != w.Aggressors[i].CouplingF {
+					t.Errorf("victim %d aggressor %d: coupling %g, want %g (must be bitwise equal)", victim, i, a.CouplingF, w.Aggressors[i].CouplingF)
+				}
+			}
+			if cl.KeptF != w.KeptF || cl.DroppedF != w.DroppedF {
+				t.Errorf("victim %d: kept/dropped %g/%g, want %g/%g", victim, cl.KeptF, cl.DroppedF, w.KeptF, w.DroppedF)
+			}
+
+			wantCkt, err := prune.BuildCircuit(p, w)
+			if err != nil {
+				t.Fatalf("materialized BuildCircuit(%d): %v", w.Victim, err)
+			}
+			gotCkt, err := prune.BuildCircuit(c.Par, cl)
+			if err != nil {
+				t.Fatalf("streamed BuildCircuit(%d): %v", victim, err)
+			}
+			wantFP := prune.Fingerprint(wantCkt, 1e-9, 8, false)
+			gotFP := prune.Fingerprint(gotCkt, 1e-9, 8, false)
+			if wantFP != gotFP {
+				t.Errorf("victim %d: circuit fingerprint diverged between streamed and materialized builds", victim)
 			}
 		}
 	}
-	t.Fatalf("streamed cluster for victim %d not attached to any component", scl.GlobalVictim)
-	return nil
 }
 
 // TestStreamEqualityChipSpanningCluster drives the worst case for closure:
@@ -156,7 +149,7 @@ func TestStreamEqualityChipSpanningCluster(t *testing.T) {
 	}
 	checkEquality(t, d, extract.DefaultFrontierSlackUM, prune.DefaultOptions())
 	// A bounded frontier must hold every net of the open component anyway.
-	_, comps := streamAll(t, d, extract.DefaultFrontierSlackUM, prune.DefaultOptions())
+	comps := streamAll(t, d, extract.DefaultFrontierSlackUM, prune.DefaultOptions())
 	if len(comps) != 1 || len(comps[0].Members) != 40 {
 		t.Fatalf("expected one 40-net chip-spanning component, got %d components", len(comps))
 	}
@@ -240,9 +233,9 @@ func TestStreamEqualityEmptyAndIsolatedNets(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	clusters, comps := streamAll(t, d, extract.DefaultFrontierSlackUM, prune.DefaultOptions())
-	if len(clusters) != 0 {
-		t.Fatalf("isolated nets produced %d clusters", len(clusters))
+	comps := streamAll(t, d, extract.DefaultFrontierSlackUM, prune.DefaultOptions())
+	if n := clusterCount(comps); n != 0 {
+		t.Fatalf("isolated nets produced %d clusters", n)
 	}
 	if len(comps) != 6 {
 		t.Fatalf("want 6 singleton components, got %d", len(comps))
@@ -354,20 +347,18 @@ func TestCouplingIndexMatchesScan(t *testing.T) {
 
 	opt := prune.DefaultOptions()
 	opt.CapRatioThreshold = 0.03
-	clusters, comps := streamAll(t, d, extract.DefaultFrontierSlackUM, opt)
+	comps := streamAll(t, d, extract.DefaultFrontierSlackUM, opt)
 	views := 0
-	seen := make(map[*extract.Parasitics]bool)
-	for _, scl := range clusters {
-		if seen[scl.Par] {
+	for _, c := range comps {
+		if len(c.Clusters) == 0 {
 			continue
 		}
-		seen[scl.Par] = true
 		views++
-		what := fmt.Sprintf("component of net %d", scl.GlobalVictim)
-		checkCouplingIndex(t, what, scl.Par)
-		members := memberIndex(t, comps, scl)
+		what := fmt.Sprintf("component of net %d", c.Members[0])
+		checkCouplingIndex(t, what, c.Par)
+		members := c.Members
 		for local, global := range members {
-			got, want := scl.Par.AppendPartners(nil, local), p.AppendPartners(nil, global)
+			got, want := c.Par.AppendPartners(nil, local), p.AppendPartners(nil, global)
 			if len(got) != len(want) {
 				t.Fatalf("%s: net %d has %d partners, whole chip %d", what, global, len(got), len(want))
 			}

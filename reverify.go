@@ -105,8 +105,12 @@ func (v *Verifier) pruneOptions() prune.Options {
 //
 // The encoding is length-prefixed and type-tagged so adjacent fields cannot
 // alias; floats travel as raw IEEE-754 bits because reuse demands bit
-// equality, not approximate equality.
-func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
+// equality, not approximate equality. It reads only the unit: nets are
+// identified by their position in the cluster and nodes by per-net index,
+// so a streamed component view, which keeps the order of the nets and of
+// the couplings, signs to the same bytes as the whole chip.
+func clusterSignature(u clusterUnit) string {
+	cl := u.cl
 	buf := make([]byte, 0, 1024)
 	str := func(s string) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
@@ -127,11 +131,11 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 	}
 	// Gmin/order/decoupling variants follow from the ladder's constants and
 	// the config key, so the circuit-input form suffices here.
-	buf = prune.AppendInputSignature(buf, v.par, cl)
+	buf = prune.AppendInputSignature(buf, u.par, cl)
 	members := cl.MemberNets() // victim first, then aggressors in rank order
 	num(len(members))
 	for i, m := range members {
-		n := v.des.Nets[m]
+		n := u.des.Nets[m]
 		if i == 0 {
 			// Only the victim's name reaches the report; aggressor names are
 			// excluded so renaming an aggressor does not defeat reuse.
@@ -150,11 +154,11 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 		f64(w.Early)
 		f64(w.Late)
 		f64(w.Slew)
-		f64(v.par.Nets[m].TotalCapF())
+		f64(u.par.Nets[m].TotalCapF())
 	}
 	for i, a := range members {
 		for _, b := range members[i+1:] {
-			bit(v.des.AreComplementary(a, b))
+			bit(u.des.AreComplementary(a, b))
 		}
 	}
 	f64(cl.KeptF)
@@ -195,11 +199,10 @@ func (b *BaseRun) Entries() int { return len(b.entries) }
 // cluster executor and checked against the design's cluster set: it must be
 // complete (every cluster carries an outcome), and partial or foreign
 // reports are rejected with ErrBaseUnusable rather than silently yielding a
-// base that can never match.
+// base that can never match. Signing a streamed verifier's report re-reads
+// its source, as a run does: a DSP source regenerates the design, a DEF
+// reader must be rewound by the caller first.
 func (v *Verifier) BaseRun(rep *Report) (*BaseRun, error) {
-	if err := v.requireMaterialized("BaseRun"); err != nil {
-		return nil, err
-	}
 	if rep == nil || rep.Diagnostics == nil {
 		return nil, fmt.Errorf("%w: report has no diagnostics", ErrBaseUnusable)
 	}
@@ -209,7 +212,7 @@ func (v *Verifier) BaseRun(rep *Report) (*BaseRun, error) {
 	//xtlint:background BaseRun has no context to plumb; signing is a pure read of the design, and the executor stops when the clusters run out
 	jobs, _, err := v.runClusters(context.Background(), runParams{workers: v.cfg.Workers},
 		func(_ context.Context, u clusterUnit) *clusterResult {
-			return &clusterResult{sig: v.clusterSignature(u.cl)}
+			return &clusterResult{sig: clusterSignature(u), outcome: ClusterOutcome{Victim: u.des.Nets[u.cl.Victim].Name}}
 		})
 	if err != nil {
 		return nil, err
@@ -229,7 +232,7 @@ func (v *Verifier) BaseRun(rep *Report) (*BaseRun, error) {
 	}
 	for i, j := range jobs {
 		out := rep.Diagnostics.Clusters[i]
-		victim := v.des.Nets[j.victim].Name
+		victim := j.res.outcome.Victim
 		if out.Victim != victim {
 			return nil, fmt.Errorf("%w: outcome %d is for %q, cluster victim is %q",
 				ErrBaseUnusable, i, out.Victim, victim)
@@ -269,11 +272,9 @@ func (v *Verifier) Reverify(base *BaseRun) (*Report, *ReverifyStats, error) {
 // marked stale there; subsequent AdviseRepair calls for them on the base
 // verifier fail with ErrStaleReport. The spliced report carries its own
 // index, so BaseRun on this verifier returns it without signing again and a
-// chain of splices signs each design once.
+// chain of splices signs each design once. A streamed verifier re-reads its
+// source, as RunContext does.
 func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report, *ReverifyStats, error) {
-	if err := v.requireMaterialized("Reverify"); err != nil {
-		return nil, nil, err
-	}
 	if base == nil {
 		return nil, nil, fmt.Errorf("%w: nil base run", ErrBaseUnusable)
 	}
@@ -335,7 +336,7 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 //   - a signature mismatch: the cluster cannot be proven unchanged —
 //     recompute, never guess.
 func (v *Verifier) spliceCluster(ctx context.Context, baseOpts glitch.Options, u clusterUnit, p runParams) *clusterResult {
-	sig := v.clusterSignature(u.cl)
+	sig := clusterSignature(u)
 	ent := p.base.entries[u.des.Nets[u.cl.Victim].Name]
 	if ent != nil && ent.outcome.Err == nil && ent.sig == sig {
 		return &clusterResult{outcome: ent.outcome, violation: ent.violation, sig: sig, reused: true}

@@ -267,6 +267,115 @@ func sameIndex(t *testing.T, got, want *BaseRun) {
 	}
 }
 
+// streamedVerifier returns a streamed verifier over defText and a rewind of
+// the reader it consumes, which the caller runs before each run after the
+// first.
+func streamedVerifier(t *testing.T, defText string, cfg Config) (*Verifier, func()) {
+	t.Helper()
+	r := strings.NewReader(defText)
+	cfg.StreamIngest = true
+	v, err := NewVerifierFromDEF(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, func() { r.Reset(defText) }
+}
+
+// TestBaseRunStreamedIdentity holds a streamed verifier's BaseRun to the
+// materialized one's: signed from component views, the index must equal the
+// whole-chip signing entry by entry — signature bytes, outcome and
+// violation.
+func TestBaseRunStreamedIdentity(t *testing.T) {
+	cfg := Config{Model: FixedResistance, CapRatioThreshold: 0.03}
+	def := emDEF(t)
+	sv, rewind := streamedVerifier(t, def, cfg)
+	rep, err := sv.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewind()
+	got, err := sv.BaseRun(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := NewVerifierFromDEF(strings.NewReader(def), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mv.BaseRun(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Entries() < 10 {
+		t.Fatalf("only %d indexed clusters; the identity check needs a real population", want.Entries())
+	}
+	sameIndex(t, got, want)
+}
+
+// TestReverifyStreamedIdentity holds a streamed splice to the identity
+// contract: a streamed ReverifyContext of an upsize edit, against a streamed
+// base and against a materialized base, renders byte-identical to a cold
+// materialized run of the edited DEF, reuses clusters, and carries the index
+// a materialized signing of its report gives.
+func TestReverifyStreamedIdentity(t *testing.T) {
+	cfg := Config{Model: FixedResistance, CapRatioThreshold: 0.03}
+	matBaseV, matBaseRep, editDEF, _ := spliceFixture(t, cfg)
+	var sb strings.Builder
+	if err := matBaseV.WriteDEF(&sb); err != nil {
+		t.Fatal(err)
+	}
+	baseDEF := sb.String()
+	coldV, err := NewVerifierFromDEF(strings.NewReader(editDEF), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldRep, err := coldV.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := identityText(t, coldRep)
+
+	strBaseV, rewind := streamedVerifier(t, baseDEF, cfg)
+	strBaseRep, err := strBaseV.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewind()
+	strBase, err := strBaseV.BaseRun(strBaseRep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matBase, err := matBaseV.BaseRun(matBaseRep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		base *BaseRun
+	}{{"streamed-base", strBase}, {"materialized-base", matBase}} {
+		editV, _ := streamedVerifier(t, editDEF, cfg)
+		rep, stats, err := editV.ReverifyContext(context.Background(), tc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := identityText(t, rep); got != want {
+			t.Errorf("%s: streamed splice differs from cold run:\n--- cold ---\n%s--- spliced ---\n%s", tc.name, want, got)
+		}
+		if stats.ClustersReused == 0 || stats.ClustersRecomputed == 0 {
+			t.Errorf("%s: an upsize must reuse and recompute clusters: %+v", tc.name, stats)
+		}
+		idx, err := editV.BaseRun(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed, err := coldV.BaseRun(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameIndex(t, idx, signed)
+	}
+}
+
 // TestReverifyStoreFaultsDegradeToRecompute injects persistent-store failures
 // during the splice: every recomputed cluster loses its warm entries, must
 // fall back to fresh reduction, and the spliced report stays byte-identical.

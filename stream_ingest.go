@@ -95,6 +95,9 @@ type streamIngestor struct {
 	str  *extract.Streamer
 	sc   *prune.StreamClusterer
 	emit emitFunc
+	// perNet emits one unit per non-clock member of each closed component
+	// instead of its pruned clusters (runParams.perNet).
+	perNet bool
 
 	name     string
 	netCount int
@@ -138,14 +141,18 @@ func (s *streamIngestor) MarkComplementary(a, b int) {
 }
 
 // emitClosed records each closed component's raw size and emits its pruned
-// clusters.
+// clusters, or with perNet its non-clock nets, with the component's views.
 func (s *streamIngestor) emitClosed(closed []*prune.ClosedComponent) error {
 	for _, c := range closed {
 		if n := len(c.Members); n >= 2 {
 			s.rawSizes = append(s.rawSizes, n)
 		}
-		for _, scl := range c.Clusters {
-			if err := s.emit(scl.GlobalVictim, clusterUnit{cl: scl.Cluster, par: scl.Par, des: scl.Par.Design}); err != nil {
+		clusters := c.Clusters
+		if s.perNet {
+			clusters = netUnits(c.Par.Design)
+		}
+		for _, cl := range clusters {
+			if err := s.emit(c.Members[cl.Victim], clusterUnit{cl: cl, par: c.Par, des: c.Par.Design}); err != nil {
 				return err
 			}
 			s.emitted++
@@ -173,17 +180,19 @@ func (s *streamIngestor) finish() error {
 
 // streamClusters is the streamed cluster source: it ingests v.src through
 // the extraction kernel and the streaming clusterer, emitting each cluster
-// the moment its component closes. The prune span covers the whole ingest.
-func (v *Verifier) streamClusters(ctx context.Context, emit emitFunc) (sourceInfo, error) {
+// (or with perNet each non-clock net) the moment its component closes. The
+// prune span covers the whole ingest.
+func (v *Verifier) streamClusters(ctx context.Context, perNet bool, emit emitFunc) (sourceInfo, error) {
 	slack := v.cfg.StreamFrontierSlackUM
 	if slack <= 0 {
 		slack = extract.DefaultFrontierSlackUM
 	}
 	ing := &streamIngestor{
-		ctx:  ctx,
-		str:  extract.NewStreamer(extract.Tech025(), slack),
-		sc:   prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
-		emit: emit,
+		ctx:    ctx,
+		str:    extract.NewStreamer(extract.Tech025(), slack),
+		sc:     prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
+		emit:   emit,
+		perNet: perNet,
 	}
 	col := v.cfg.Collector
 	span := col.Start(obs.PhasePrune)

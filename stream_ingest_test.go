@@ -13,6 +13,7 @@ import (
 	"xtverify/internal/deflite"
 	"xtverify/internal/design"
 	"xtverify/internal/extract"
+	"xtverify/internal/prune"
 )
 
 // streamBenchDSP is the acceptance design of the streaming-ingest work: the same
@@ -180,17 +181,11 @@ func TestStreamGuards(t *testing.T) {
 		"WriteSPEF":    func() error { return sv.WriteSPEF(&sink) },
 		"WriteVerilog": func() error { return sv.WriteVerilog(&sink) },
 		"WriteDEF":     func() error { return sv.WriteDEF(&sink) },
-		"RunEM":        func() error { _, err := sv.RunEM(EMOptions{}); return err },
 		"TraceGlitch":  func() error { _, err := sv.TraceGlitch("ch0/n0"); return err },
 		"AdviseRepair": func() error { _, err := sv.AdviseRepair("ch0/n0"); return err },
 		"UpsizeDriver": func() error { _, err := sv.UpsizeDriver("ch0/n0", "", Config{}); return err },
 		"RefineTimingWindows": func() error {
 			_, err := sv.RefineTimingWindows(context.Background())
-			return err
-		},
-		"BaseRun": func() error { _, err := sv.BaseRun(&Report{Diagnostics: &Diagnostics{}}); return err },
-		"Reverify": func() error {
-			_, _, err := sv.Reverify(&BaseRun{})
 			return err
 		},
 	}
@@ -265,6 +260,129 @@ func TestTimingImpactIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// emDEF is smallDSP written to DEF: clock nets, and nets whose coupled
+// component holds no cluster, next to clustered ones.
+func emDEF(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := engineVerifier(t, Config{}).WriteDEF(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestEMIdentity holds RunEM to the executor's identity contract: streamed ≡
+// materialized ≡ Workers=8, every field bit for bit and in the same order,
+// on a DEF with clock nets (which it skips) and with nets that no cluster
+// reaches (which it audits).
+func TestEMIdentity(t *testing.T) {
+	def := emDEF(t)
+	cfg := Config{Model: FixedResistance, CapRatioThreshold: 0.03}
+	audit := func(t *testing.T, cfg Config) ([]EMResult, *Verifier) {
+		t.Helper()
+		v, err := NewVerifierFromDEF(strings.NewReader(def), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := v.RunEM(EMOptions{ActivityHz: 300e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, v
+	}
+	serial := cfg
+	serial.Workers = 1
+	want, mv := audit(t, serial)
+
+	// The fixture must hold what the contract is about.
+	clustered := make(map[int]bool)
+	for _, cl := range prune.Clusters(mv.par, mv.pruneOptions()) {
+		clustered[cl.Victim] = true
+	}
+	clocks, lone := 0, 0
+	for _, comp := range prune.RawClusters(mv.par) {
+		hit := false
+		for _, n := range comp {
+			hit = hit || clustered[n]
+			if mv.des.Nets[n].ClockNet {
+				clocks++
+			}
+		}
+		if !hit {
+			lone += len(comp)
+		}
+	}
+	if clocks == 0 || lone == 0 || len(clustered) == 0 {
+		t.Fatalf("fixture has %d clock nets, %d nets in cluster-free components, %d clusters; want all three", clocks, lone, len(clustered))
+	}
+	if len(want) != len(mv.des.Nets)-clocks {
+		t.Fatalf("%d EM results for %d non-clock nets", len(want), len(mv.des.Nets)-clocks)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+	}{
+		{"workers8", func(c *Config) { c.Workers = 8 }},
+		{"streamed", func(c *Config) { c.StreamIngest = true; c.Workers = 1 }},
+		{"streamed-workers8", func(c *Config) { c.StreamIngest = true; c.Workers = 8 }},
+	} {
+		c := cfg
+		tc.edit(&c)
+		c.Collector = NewMetricsCollector()
+		got, _ := audit(t, c)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Net != w.Net || g.DriverCell != w.DriverCell || g.Violation != w.Violation ||
+				math.Float64bits(g.IAvgMA) != math.Float64bits(w.IAvgMA) ||
+				math.Float64bits(g.IRMSMA) != math.Float64bits(w.IRMSMA) ||
+				math.Float64bits(g.IPeakMA) != math.Float64bits(w.IPeakMA) ||
+				math.Float64bits(g.RMSUtilization) != math.Float64bits(w.RMSUtilization) {
+				t.Fatalf("%s: result %d = %+v, want %+v", tc.name, i, g, w)
+			}
+		}
+		if c.StreamIngest {
+			s := c.Collector.Snapshot()
+			if got := s.Counters["nets_streamed"]; got != int64(len(mv.des.Nets)) {
+				t.Errorf("%s: nets_streamed = %d, want %d", tc.name, got, len(mv.des.Nets))
+			}
+			if got := s.Counters["clusters_emitted_eager"]; got != int64(len(want)) {
+				t.Errorf("%s: clusters_emitted_eager = %d, want one unit per audited net (%d)", tc.name, got, len(want))
+			}
+		}
+	}
+}
+
+// TestRunEMRecoversPanic checks that a panic inside one net's audit fails
+// RunEM with ErrPanic, naming the first failing net in net order, instead of
+// crashing the caller.
+func TestRunEMRecoversPanic(t *testing.T) {
+	v, err := NewVerifierFromDEF(strings.NewReader(emDEF(t)), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A net without driver nodes panics in em.AnalyzeNet's port lookup.
+	var broken []string
+	for i, n := range v.des.Nets {
+		if !n.ClockNet && len(broken) < 2 && i > 3 {
+			v.par.Nets[i].DriverNodes = nil
+			broken = append(broken, n.Name)
+		}
+	}
+	_, err = v.RunEM(EMOptions{})
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("RunEM over a broken net = %v, want ErrPanic", err)
+	}
+	want := "victim " + broken[0] + ":"
+	//xtlint:errcmp the wrap's text is what names the failing net
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("RunEM error %q does not name %q", err, want)
 	}
 }
 

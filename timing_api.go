@@ -31,12 +31,7 @@ func (v *Verifier) delayImpacts(ctx context.Context, edges ...bool) ([]*engineJo
 	// crosses Vdd/2 before it ends.
 	opts.TEnd = 8e-9
 	v.setupEngineCaches(&opts)
-	jobs, _, err := v.runClusters(ctx, runParams{workers: v.cfg.Workers}, func(ctx context.Context, u clusterUnit) (res *clusterResult) {
-		defer func() {
-			if r := recover(); r != nil {
-				res = &clusterResult{err: fmt.Errorf("%w: %v", ErrPanic, r)}
-			}
-		}()
+	jobs, _, err := v.runClusters(ctx, runParams{workers: v.cfg.Workers}, func(ctx context.Context, u clusterUnit) *clusterResult {
 		eng := glitch.NewEngine(u.par, opts)
 		worst := &glitch.TimingImpact{}
 		for i, rising := range edges {

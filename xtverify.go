@@ -168,13 +168,14 @@ type Config struct {
 	// incrementally, and each coupled cluster is handed to the worker pool
 	// the moment it closes — verification overlaps ingest and peak memory is
 	// O(largest cluster + frontier) instead of O(chip). Reports are
-	// byte-identical to a materialized run, and RunTimingImpact, which runs
-	// on the same cluster executor, returns identical impacts. Requires
-	// (approximately) ascending-y net order in the input; incompatible with
-	// UseTimingWindows. The APIs that need the whole design in memory fail
-	// with ErrStreamIngest: WriteSPEF, WriteVerilog, WriteDEF, RunEM,
-	// RefineTimingWindows, TraceGlitch, AdviseRepair, UpsizeDriver, BaseRun
-	// and Reverify.
+	// byte-identical to a materialized run, and RunTimingImpact, RunEM,
+	// BaseRun and Reverify, which run on the same cluster executor, return
+	// identical results; each run re-reads the source (rewind a DEF reader
+	// between runs). Requires (approximately) ascending-y net order in the
+	// input; incompatible with UseTimingWindows. The seven APIs that need the
+	// whole design in memory fail with ErrStreamIngest: WriteSPEF,
+	// WriteVerilog, WriteDEF, RefineTimingWindows, TraceGlitch, AdviseRepair
+	// and UpsizeDriver.
 	StreamIngest bool
 	// StreamFrontierSlackUM is the tolerated out-of-orderness (µm) of
 	// streamed net arrival; 0 means extract.DefaultFrontierSlackUM. Only
